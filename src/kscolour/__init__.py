@@ -27,7 +27,6 @@ from .bases import (
     basis_fraction_4d,
     belt_radius_4d,
     orthosphere_white_integral,
-    sampled_white_circle_measure,
     white_arc_angle,
     white_pair_angle,
 )
@@ -53,9 +52,7 @@ from .montecarlo import (
 from .numerics import (
     QuadratureConfig,
     QuadratureError,
-    erf,
     integrate,
-    simplex_circumradius,
     sin_power_integral,
     surface_ratio,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "black_fraction",
     "classify_basis",
     "colour_of",
-    "erf",
     "estimate_basis_fraction",
     "estimate_vector_fractions",
     "integrate",
@@ -91,9 +87,7 @@ __all__ = [
     "orthosphere_white_integral",
     "sample_basis",
     "sample_unit_vector",
-    "sampled_white_circle_measure",
     "scan",
-    "simplex_circumradius",
     "sin_power_integral",
     "surface_ratio",
     "total_fraction",

@@ -12,13 +12,7 @@ ratio.
 import math
 from dataclasses import dataclass
 
-from .numerics import (
-    QuadratureConfig,
-    erf,
-    simplex_circumradius,
-    sin_power_integral,
-    surface_ratio,
-)
+from .numerics import QuadratureConfig, sin_power_integral, surface_ratio
 
 __all__ = [
     "AreaBreakdown",
@@ -61,7 +55,7 @@ class AreaBreakdown:
 def _belt_edge_angle(n_dim: int) -> float:
     # Polar angle where the belt ends: sin(theta) = sqrt((N-1)/N), the
     # circumradius of the regular (N-1)-simplex, so cos(theta) = 1/sqrt(N).
-    return math.asin(simplex_circumradius(n_dim - 1))
+    return math.asin(math.sqrt((n_dim - 1) / n_dim))
 
 
 def _check_dim(n_dim: int) -> None:
@@ -131,7 +125,7 @@ def asymptotic_limit() -> float:
     Gaussian mass within one standard deviation and the caps' share
     vanishes.
     """
-    return erf(1.0 / math.sqrt(2.0))
+    return math.erf(1.0 / math.sqrt(2.0))
 
 
 def limit_series(k_max: int) -> float:

@@ -22,9 +22,6 @@ vectors repeat the circle computation with h replaced by B.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .colouring import ColouringParams, UnitVector, colour_of, Colour
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
@@ -41,7 +38,6 @@ __all__ = [
     "belt_radius_4d",
     "orthosphere_white_integral",
     "basis_fraction_4d",
-    "sampled_white_circle_measure",
     "DIM4_DISCREPANCY_NOTICE",
 ]
 
@@ -242,29 +238,3 @@ def basis_fraction_4d(config: QuadratureConfig | None = None) -> BasisFractionRe
         combinatorial_factor=factor,
         fraction=factor * raw / normalizer,
     )
-
-
-def sampled_white_circle_measure(theta: float, h: float, points: int = 100_000) -> float:
-    """Sampling oracle for the White measure of one orthogonal great circle.
-
-    Walks a midpoint grid around the circle orthogonal to the unit
-    vector at polar angle theta in R^3, classifies every point with
-    colour_of under belt half-width h, and returns the White count
-    scaled to arc measure.  Agrees with 2 * white_arc_angle(theta, h)
-    up to the grid resolution; at sin(theta) < h it returns the full
-    2*pi.
-    """
-    if not (0.0 < theta <= 0.5 * math.pi):
-        raise ValueError(f"polar angle must lie in (0, pi/2], got {theta!r}")
-    if points < 1:
-        raise ValueError("points must be positive")
-    params = ColouringParams(dim=3, white_bound=h)
-    u1 = np.array([math.cos(theta), 0.0, -math.sin(theta)])
-    u2 = np.array([0.0, 1.0, 0.0])
-    white = 0
-    for k in range(points):
-        s = 2.0 * math.pi * (k + 0.5) / points
-        point = UnitVector(math.cos(s) * u1 + math.sin(s) * u2)
-        if colour_of(point, params) is Colour.WHITE:
-            white += 1
-    return 2.0 * math.pi * white / points

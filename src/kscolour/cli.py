@@ -193,7 +193,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             for line in _csv_lines(rows):
                 fh.write(line + "\n")
         manifest = RunManifest(
-            command_line="kscolour " + " ".join(sys.argv[1:]) if sys.argv[1:] else "kscolour scan",
+            command_line="kscolour " + " ".join(args.argv),
             seed=None,
             abs_tol=args.abs_tol,
             rel_tol=args.rel_tol,
@@ -289,11 +289,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else int(exc.code)
+    args.argv = argv
     try:
         return args.handler(args)
     except QuadratureError as exc:

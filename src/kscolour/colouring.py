@@ -20,6 +20,7 @@ __all__ = [
     "ColouringParams",
     "UnitVector",
     "OrthonormalBasis",
+    "colour_masks",
     "colour_of",
     "classify_basis",
     "is_fully_coloured",
@@ -176,18 +177,24 @@ class OrthonormalBasis:
         return len(self.vectors)
 
 
-def colour_of(vector: UnitVector, params: ColouringParams) -> Colour:
-    """Colour of one unit vector under the given cap and belt bounds.
+def colour_masks(t: float | np.ndarray, params: ColouringParams) -> tuple:
+    """(white, black) tests on absolute distinguished components ``t``.
 
-    Strictly above the cap bound (in |component|) is Black, strictly
-    below the belt bound is White, everything else Uncoloured.
+    Strictly below the belt bound is White, strictly above the cap
+    bound is Black, anything else Uncoloured.  ``t`` may be a float,
+    giving two bools, or an ndarray, giving two boolean arrays.
     """
+    return t < params.white_bound, t > params.black_bound
+
+
+def colour_of(vector: UnitVector, params: ColouringParams) -> Colour:
+    """Colour of one unit vector under the given cap and belt bounds."""
     if vector.dim != params.dim:
         raise ValueError(f"vector dimension {vector.dim} does not match params dimension {params.dim}")
-    component = abs(float(vector.components[params.axis_index]))
-    if component > params.black_bound:
+    white, black = colour_masks(abs(float(vector.components[params.axis_index])), params)
+    if black:
         return Colour.BLACK
-    if component < params.white_bound:
+    if white:
         return Colour.WHITE
     return Colour.UNCOLOURED
 

@@ -4,14 +4,20 @@ uniformly and measures the coloured fractions empirically.
 Sampling is organised in fixed-size chunks of 65536 draws.  Chunk j of
 a run with seed s uses its own counter-based generator keyed by
 (s, j), so the stream for a chunk depends only on the seed and the
-chunk index.  Results are integer counts summed over chunks, which
-makes every estimate bit-identical no matter how the chunks are
-partitioned into shards.
+chunk index.  Each chunk is drawn in row slices of at most
+_SLICE_DOUBLES normals, which bounds memory per draw up to dimension
+_SLICE_DOUBLES (a slice holds at least one row).  Philox yields the
+same normals whether a chunk is drawn in one call or in slices, so
+results are integer counts that do not depend on the slice size.
 
-Bases are drawn Haar-uniformly: a square Gaussian matrix is
-orthonormalized column by column (modified Gram-Schmidt with a second
-pass), which realizes the QR decomposition with positive diagonal and
-therefore the invariant distribution.
+A basis is fully coloured, or breaks a constraint, according to the
+distinguished components of its vectors, which form one row of its
+matrix.  A row of a Haar-random orthogonal matrix is a uniform unit
+vector (the transpose of a Haar matrix is Haar), so the basis
+estimators sample that row directly.  Whole bases, for callers that
+want them, come from the QR decomposition of a Gaussian matrix with
+the signs of R's diagonal moved into Q (Mezzadri, Notices AMS 54,
+2007), which makes Q Haar-distributed.
 """
 
 import math
@@ -20,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .colouring import ColouringParams, OrthonormalBasis, UnitVector
+from .colouring import ColouringParams, OrthonormalBasis, UnitVector, colour_masks
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -38,6 +44,10 @@ __all__ = [
 CHUNK_SAMPLES = 1 << 16
 RNG_FAMILY = "philox4x64"
 
+# Most normals one draw asks for (8 MiB of doubles).  A full chunk fits
+# up to dimension 16; beyond that a chunk is drawn in several slices,
+# down to one row per slice at dimension 2^20.
+_SLICE_DOUBLES = 1 << 20
 _SEED_LIMIT = 1 << 64
 _DEGENERATE = 1e-8
 _SE_TOL = 1e-12
@@ -98,7 +108,7 @@ def _check_seed(seed: int) -> None:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-def _check_counts(dim: int, samples: int, shards: int) -> None:
+def _check_run(dim: int, samples: int, seed: int) -> None:
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ValueError("dimension must be an integer")
     if dim < 3:
@@ -107,10 +117,7 @@ def _check_counts(dim: int, samples: int, shards: int) -> None:
         raise ValueError("samples must be an integer")
     if samples < 1:
         raise ValueError("samples must be positive")
-    if not isinstance(shards, int) or isinstance(shards, bool):
-        raise ValueError("shards must be an integer")
-    if shards < 1:
-        raise ValueError("shards must be positive")
+    _check_seed(seed)
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -118,45 +125,12 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunks(samples: int) -> Iterator[tuple[int, int]]:
-    start = 0
-    index = 0
-    while start < samples:
+def _slices(dim: int, samples: int) -> Iterator[tuple[int, list[int]]]:
+    """(chunk index, rows of each draw from that chunk's stream) per chunk."""
+    step = max(1, _SLICE_DOUBLES // dim)
+    for index, start in enumerate(range(0, samples, CHUNK_SAMPLES)):
         count = min(CHUNK_SAMPLES, samples - start)
-        yield index, count
-        index += 1
-        start += count
-
-
-def _mgs(mats: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of each matrix in place; flag degenerates."""
-    count, _, dim = mats.shape
-    bad = np.zeros(count, dtype=bool)
-    for j in range(dim):
-        col = mats[:, :, j]
-        for _ in range(2):
-            for i in range(j):
-                prev = mats[:, :, i]
-                col -= np.einsum("ij,ij->i", prev, col)[:, None] * prev
-        norms = np.linalg.norm(col, axis=1)
-        small = norms < _DEGENERATE
-        bad |= small
-        col /= np.where(small, 1.0, norms)[:, None]
-    return bad
-
-
-def _haar_matrices(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, dim, dim) stack of Haar-uniform orthogonal matrices."""
-    mats = rng.standard_normal((count, dim, dim))
-    bad = _mgs(mats)
-    while bad.any():
-        idx = np.flatnonzero(bad)
-        fresh = rng.standard_normal((idx.size, dim, dim))
-        bad_sub = _mgs(fresh)
-        mats[idx] = fresh
-        bad = np.zeros(count, dtype=bool)
-        bad[idx[bad_sub]] = True
-    return mats
+        yield index, [min(step, count - offset) for offset in range(0, count, step)]
 
 
 def _unit_rows(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,6 +144,23 @@ def _unit_rows(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return rows / norms[:, None]
 
 
+def _row_stream(dim: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """The run's uniform unit rows, one slice at a time."""
+    for index, sizes in _slices(dim, samples):
+        rng = _chunk_rng(seed, index)
+        for rows in sizes:
+            yield _unit_rows(dim, rows, rng)
+
+
+def _estimate(value: float, samples: int, seed: int) -> Estimate:
+    return Estimate(
+        value=value,
+        std_error=math.sqrt(value * (1.0 - value) / samples),
+        samples=samples,
+        seed=seed,
+    )
+
+
 def sample_unit_vector(dim: int, rng: np.random.Generator) -> UnitVector:
     """One uniformly distributed unit vector in R^dim."""
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -178,10 +169,16 @@ def sample_unit_vector(dim: int, rng: np.random.Generator) -> UnitVector:
 
 
 def sample_basis(dim: int, rng: np.random.Generator) -> OrthonormalBasis:
-    """One Haar-uniform ordered orthonormal basis of R^dim."""
+    """One Haar-uniform ordered orthonormal basis of R^dim.
+
+    QR of a Gaussian matrix, with column j of Q multiplied by the sign
+    of R[j, j]: the factorisation with positive diagonal, whose Q is
+    Haar-distributed.
+    """
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("dimension must be a positive integer")
-    return OrthonormalBasis.from_matrix(_haar_matrices(dim, 1, rng)[0])
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return OrthonormalBasis.from_matrix(q * np.copysign(1.0, np.diag(r)))
 
 
 def axis_component_samples(dim: int, samples: int, seed: int) -> np.ndarray:
@@ -192,23 +189,16 @@ def axis_component_samples(dim: int, samples: int, seed: int) -> np.ndarray:
     distribution checks against the exact marginal density
     proportional to (1 - t^2)^((dim-3)/2).
     """
-    _check_counts(dim, samples, 1)
-    _check_seed(seed)
+    _check_run(dim, samples, seed)
     out = np.empty(samples)
     start = 0
-    for index, count in _chunks(samples):
-        rows = _unit_rows(dim, count, _chunk_rng(seed, index))
-        out[start : start + count] = rows[:, -1]
-        start += count
+    for rows in _row_stream(dim, samples, seed):
+        out[start : start + len(rows)] = rows[:, -1]
+        start += len(rows)
     return out
 
 
-def estimate_vector_fractions(
-    dim: int,
-    samples: int,
-    seed: int,
-    shards: int = 1,
-) -> tuple[Estimate, Estimate, Estimate]:
+def estimate_vector_fractions(dim: int, samples: int, seed: int) -> tuple[Estimate, Estimate, Estimate]:
     """Empirical (white, black, uncoloured) area fractions in R^dim.
 
     Parameters
@@ -220,87 +210,48 @@ def estimate_vector_fractions(
         Number of unit vectors to draw.
     seed : int
         Unsigned 64-bit stream seed.
-    shards : int
-        Number of shards the chunk indices are partitioned into.  Any
-        value yields bit-identical estimates; the parameter exists so
-        the partition invariance is exercised, not to change results.
 
     Returns
     -------
     (white, black, uncoloured) Estimates.  The uncoloured value is the
     complement 1 - white - black, so the three values sum to 1 exactly.
     """
-    _check_counts(dim, samples, shards)
-    _check_seed(seed)
+    _check_run(dim, samples, seed)
     params = ColouringParams(dim=dim)
-    shard_white = [0] * shards
-    shard_black = [0] * shards
-    for index, count in _chunks(samples):
-        rng = _chunk_rng(seed, index)
-        t = np.abs(_unit_rows(dim, count, rng)[:, -1])
-        shard = index % shards
-        shard_white[shard] += int((t < params.white_bound).sum())
-        shard_black[shard] += int((t > params.black_bound).sum())
-    white_count = sum(shard_white)
-    black_count = sum(shard_black)
+    white_count = 0
+    black_count = 0
+    for rows in _row_stream(dim, samples, seed):
+        white, black = colour_masks(np.abs(rows[:, -1]), params)
+        white_count += int(white.sum())
+        black_count += int(black.sum())
     white_value = white_count / samples
     black_value = black_count / samples
     uncoloured_value = 1.0 - (white_value + black_value)
-
-    def est(value: float) -> Estimate:
-        return Estimate(
-            value=value,
-            std_error=math.sqrt(value * (1.0 - value) / samples),
-            samples=samples,
-            seed=seed,
-        )
-
-    return est(white_value), est(black_value), est(uncoloured_value)
-
-
-def _basis_axis_abs(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, dim) abs distinguished components, one row per sampled basis."""
-    mats = _haar_matrices(dim, count, rng)
-    return np.abs(mats[:, -1, :])
-
-
-def estimate_basis_fraction(
-    dim: int,
-    samples: int,
-    seed: int,
-    shards: int = 1,
-) -> Estimate:
-    """Empirical fraction of Haar-random bases that are fully coloured.
-
-    A basis counts when every vector is strictly White or strictly
-    Black under the default bounds for ``dim``.  Chunking, seeding and
-    the shards parameter behave as in estimate_vector_fractions.
-    """
-    _check_counts(dim, samples, shards)
-    _check_seed(seed)
-    params = ColouringParams(dim=dim)
-    shard_hits = [0] * shards
-    for index, count in _chunks(samples):
-        rng = _chunk_rng(seed, index)
-        t = _basis_axis_abs(dim, count, rng)
-        coloured = (t < params.white_bound) | (t > params.black_bound)
-        shard_hits[index % shards] += int(coloured.all(axis=1).sum())
-    hits = sum(shard_hits)
-    value = hits / samples
-    return Estimate(
-        value=value,
-        std_error=math.sqrt(value * (1.0 - value) / samples),
-        samples=samples,
-        seed=seed,
+    return (
+        _estimate(white_value, samples, seed),
+        _estimate(black_value, samples, seed),
+        _estimate(uncoloured_value, samples, seed),
     )
 
 
-def verify_constraints(
-    dim: int,
-    samples: int,
-    seed: int,
-    shards: int = 1,
-) -> ViolationReport:
+def estimate_basis_fraction(dim: int, samples: int, seed: int) -> Estimate:
+    """Empirical fraction of Haar-random bases that are fully coloured.
+
+    A basis counts when every vector is strictly White or strictly
+    Black under the default bounds for ``dim``.  Each basis is
+    represented by its distinguished row, drawn from the same chunked
+    streams as estimate_vector_fractions.
+    """
+    _check_run(dim, samples, seed)
+    params = ColouringParams(dim=dim)
+    hits = 0
+    for rows in _row_stream(dim, samples, seed):
+        white, black = colour_masks(np.abs(rows), params)
+        hits += int((white | black).all(axis=1).sum())
+    return _estimate(hits / samples, samples, seed)
+
+
+def verify_constraints(dim: int, samples: int, seed: int) -> ViolationReport:
     """Count colouring-constraint violations over Haar-random bases.
 
     Checks, per sampled basis: an orthogonal Black pair (two or more
@@ -309,26 +260,21 @@ def verify_constraints(
     all three counts must be zero; any non-zero count falsifies the
     geometry, not the sampler.
     """
-    _check_counts(dim, samples, shards)
-    _check_seed(seed)
+    _check_run(dim, samples, seed)
     params = ColouringParams(dim=dim)
-    shard_pairs = [0] * shards
-    shard_all_white = [0] * shards
-    shard_bad_full = [0] * shards
-    for index, count in _chunks(samples):
-        rng = _chunk_rng(seed, index)
-        t = _basis_axis_abs(dim, count, rng)
-        white = t < params.white_bound
-        black = t > params.black_bound
+    pairs = 0
+    all_white = 0
+    bad_full = 0
+    for rows in _row_stream(dim, samples, seed):
+        white, black = colour_masks(np.abs(rows), params)
         blacks_per_basis = black.sum(axis=1)
         full = (white | black).all(axis=1)
-        shard = index % shards
-        shard_pairs[shard] += int((blacks_per_basis >= 2).sum())
-        shard_all_white[shard] += int(white.all(axis=1).sum())
-        shard_bad_full[shard] += int((full & (blacks_per_basis != 1)).sum())
+        pairs += int((blacks_per_basis >= 2).sum())
+        all_white += int(white.all(axis=1).sum())
+        bad_full += int((full & (blacks_per_basis != 1)).sum())
     return ViolationReport(
         samples=samples,
-        black_pair_count=sum(shard_pairs),
-        all_white_count=sum(shard_all_white),
-        full_without_one_black_count=sum(shard_bad_full),
+        black_pair_count=pairs,
+        all_white_count=all_white,
+        full_without_one_black_count=bad_full,
     )

@@ -1,8 +1,8 @@
 """Numerical kernels shared by the geometry modules.
 
-Adaptive Gauss-Kronrod quadrature plus the handful of closed-form
-helpers (sphere surface ratios, simplex circumradii, the error
-function) that the colouring integrals are written in terms of.
+Adaptive Gauss-Kronrod quadrature, the sin-power integral and the
+sphere surface ratio that the colouring integrals are written in
+terms of.
 """
 
 import heapq
@@ -16,8 +16,6 @@ __all__ = [
     "integrate",
     "sin_power_integral",
     "surface_ratio",
-    "simplex_circumradius",
-    "erf",
 ]
 
 
@@ -213,27 +211,3 @@ def surface_ratio(n_dim: int) -> float:
     if n_dim < 2:
         raise ValueError("dimension must be at least 2")
     return math.exp(math.lgamma(0.5 * n_dim) - math.lgamma(0.5 * (n_dim - 1)) - 0.5 * math.log(math.pi))
-
-
-def simplex_circumradius(n_verts_minus_one: int) -> float:
-    """Circumradius of the regular unit-edge simplex with the given index n.
-
-    sqrt(n / (n + 1)) for the n-simplex; tends to 1 as n grows.  The
-    white-belt half-width in dimension N is the complement of the
-    (N-1)-simplex circumradius: cos(arcsin(R)) = 1/sqrt(N).
-    """
-    n = n_verts_minus_one
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("simplex index must be an integer")
-    if n < 1:
-        raise ValueError("simplex index must be at least 1")
-    return math.sqrt(n / (n + 1.0))
-
-
-def erf(z: float) -> float:
-    """Error function (2/sqrt(pi)) * integral of exp(-t^2) from 0 to z.
-
-    Delegates to the C library through :func:`math.erf`; the test suite
-    cross-checks it against direct quadrature of the Gaussian.
-    """
-    return math.erf(z)

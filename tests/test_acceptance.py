@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from kscolour import montecarlo
 from kscolour.area import (
     argmin_total,
     asymptotic_limit,
@@ -166,29 +167,31 @@ def test_criterion_09_vector_fractions_montecarlo():
     )
 
 
-def test_criterion_10_determinism_and_sharding():
+def test_criterion_10_determinism_and_sharding(monkeypatch):
+    # Each chunk is drawn in slices of at most montecarlo._SLICE_DOUBLES
+    # normals; the budgets below cut the chunks into slices of 2730,
+    # 333 and 40 rows of R^3 (1638, 199 and 24 of R^5).
     e1 = estimate_basis_fraction(3, 300_000, SEED_DETERMINISM)
     e2 = estimate_basis_fraction(3, 300_000, SEED_DETERMINISM)
-    shard_vals = [
-        estimate_basis_fraction(3, 300_000, SEED_DETERMINISM, shards=s).value for s in (2, 4, 9)
-    ]
     vec_ref = [e.value for e in estimate_vector_fractions(5, 200_000, SEED_DETERMINISM + 1)]
-    vec_ok = all(
-        [e.value for e in estimate_vector_fractions(5, 200_000, SEED_DETERMINISM + 1, shards=s)]
-        == vec_ref
-        for s in (3, 8)
-    )
+    slice_vals = []
+    vec_ok = True
+    for budget in (8192, 999, 120):
+        monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", budget)
+        slice_vals.append(estimate_basis_fraction(3, 300_000, SEED_DETERMINISM).value)
+        vec_ok &= [e.value for e in estimate_vector_fractions(5, 200_000, SEED_DETERMINISM + 1)] == vec_ref
+    monkeypatch.undo()
     arr1 = axis_component_samples(4, 150_000, SEED_DETERMINISM + 2)
     arr2 = axis_component_samples(4, 150_000, SEED_DETERMINISM + 2)
     ok = (
         e1.value == e2.value
-        and all(v == e1.value for v in shard_vals)
+        and all(v == e1.value for v in slice_vals)
         and vec_ok
         and np.array_equal(arr1, arr2)
     )
     _report(
         10,
         ok,
-        "repeat runs and shard counts (1,2,4,9 bases; 1,3,8 vectors) are bit-identical: "
+        "repeat runs and slice budgets (2^20, 8192, 999, 120 doubles per draw) are bit-identical: "
         f"{ok}",
     )

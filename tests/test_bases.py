@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,10 +11,10 @@ from kscolour.bases import (
     basis_fraction_4d,
     belt_radius_4d,
     orthosphere_white_integral,
-    sampled_white_circle_measure,
     white_arc_angle,
     white_pair_angle,
 )
+from kscolour.colouring import ColouringParams, colour_masks
 from kscolour.numerics import QuadratureConfig, sin_power_integral
 
 H3 = 1.0 / math.sqrt(3.0)
@@ -189,6 +190,28 @@ def test_result_validation():
         BasisFractionResult(dim=3, raw_integral=1.0, normalizer=-2.0, combinatorial_factor=3, fraction=-1.5)
     with pytest.raises(ValueError):
         BasisFractionResult(dim=2, raw_integral=1.0, normalizer=2.0, combinatorial_factor=1, fraction=0.5)
+
+
+def sampled_white_circle_measure(theta: float, h: float, points: int = 100_000) -> float:
+    """Sampling oracle for the White measure of one orthogonal great circle.
+
+    Classifies a midpoint grid around the circle orthogonal to the unit
+    vector at polar angle theta in R^3 under belt half-width h, and
+    returns the White count scaled to arc measure.  Agrees with
+    2 * white_arc_angle(theta, h) up to the grid resolution; at
+    sin(theta) < h it returns the full 2*pi.
+    """
+    if not (0.0 < theta <= 0.5 * math.pi):
+        raise ValueError(f"polar angle must lie in (0, pi/2], got {theta!r}")
+    if points < 1:
+        raise ValueError("points must be positive")
+    params = ColouringParams(dim=3, white_bound=h)
+    u1 = np.array([math.cos(theta), 0.0, -math.sin(theta)])
+    u2 = np.array([0.0, 1.0, 0.0])
+    s = 2.0 * math.pi * (np.arange(points) + 0.5) / points
+    grid = np.cos(s)[:, None] * u1 + np.sin(s)[:, None] * u2
+    white, _ = colour_masks(np.abs(grid[:, params.axis_index]), params)
+    return 2.0 * math.pi * int(white.sum()) / points
 
 
 def test_sampled_circle_measure_matches_arc_formula():

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from kscolour import __version__
+from kscolour.cli import main
 
 GOLDEN_SCAN_3_TO_6 = (
     "N,white_fraction,black_fraction,total_fraction\n"
@@ -103,6 +104,15 @@ def test_scan_manifest_sidecar(tmp_path):
     assert manifest["rel_tol"] == 1e-10
     assert manifest["wall_time_s"] >= 0.0
     assert "scan" in manifest["command_line"]
+
+
+def test_scan_manifest_records_the_argv_main_received(tmp_path, monkeypatch, capsys):
+    # An embedding program's own argv must not leak into the manifest.
+    monkeypatch.setattr(sys, "argv", ["some-host-program", "--flag"])
+    out = tmp_path / "rows.csv"
+    assert main(["scan", "--from", "3", "--to", "5", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "rows.csv.manifest.json").read_text())
+    assert manifest["command_line"] == f"kscolour scan --from 3 --to 5 --out {out}"
 
 
 def test_scan_output_is_byte_stable(tmp_path):

@@ -10,6 +10,7 @@ from kscolour.colouring import (
     OrthonormalBasis,
     UnitVector,
     classify_basis,
+    colour_masks,
     colour_of,
     is_fully_coloured,
     ks_satisfied,
@@ -138,6 +139,21 @@ def test_colour_of_boundaries_are_uncoloured():
     assert colour_of(UnitVector([math.sqrt(1.0 - w * w), 0.0, w]), P3) is Colour.UNCOLOURED
     # all components exactly on the dim-4 belt bound
     assert colour_of(UnitVector([0.5, 0.5, 0.5, 0.5]), P4) is Colour.UNCOLOURED
+
+
+def test_colour_masks_on_arrays_match_colour_of():
+    # The estimators classify arrays of |components| with the predicate
+    # colour_of applies to one vector, boundaries included.
+    w, b = P3.white_bound, P3.black_bound
+    t = np.array(
+        [0.0, np.nextafter(w, 0.0), w, np.nextafter(w, 1.0), 0.65, np.nextafter(b, 0.0), b, np.nextafter(b, 1.0), 1.0]
+    )
+    white, black = colour_masks(t, P3)
+    assert [colour_masks(float(x), P3) for x in t] == list(zip(white.tolist(), black.tolist()))
+    colours = [colour_of(UnitVector([math.sqrt(1.0 - x * x), 0.0, x]), P3) for x in t]
+    expected = [Colour.BLACK if k else Colour.WHITE if h else Colour.UNCOLOURED for h, k in zip(white, black)]
+    assert colours == expected
+    assert colours.count(Colour.UNCOLOURED) == 5
 
 
 def test_colour_of_respects_axis_index():

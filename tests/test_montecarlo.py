@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kscolour import montecarlo
 from kscolour.area import black_fraction, white_fraction
 from kscolour.bases import basis_fraction_3d
+from kscolour.colouring import ColouringParams, is_fully_coloured
 from kscolour.montecarlo import (
     CHUNK_SAMPLES,
     Estimate,
@@ -48,8 +51,6 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         estimate_vector_fractions(3, 0, 1)
     with pytest.raises(ValueError):
-        estimate_vector_fractions(3, 100, 1, shards=0)
-    with pytest.raises(ValueError):
         estimate_vector_fractions(3, 100, -1)
     with pytest.raises(ValueError):
         estimate_basis_fraction(3, 100, 2**64)
@@ -74,6 +75,21 @@ def test_basis_sampler_orthonormality_in_bulk():
         m = sample_basis(4, rng).matrix
         worst = max(worst, float(np.abs(m.T @ m - np.eye(4)).max()))
     assert worst < 1e-12
+
+
+def test_sample_basis_is_gram_schmidt_of_the_same_normals():
+    # Moving the signs of diag(R) into Q gives the QR factorisation with
+    # positive diagonal, which is Gram-Schmidt on the Gaussian columns.
+    for dim in (3, 4, 8):
+        q = sample_basis(dim, np.random.default_rng(dim)).matrix
+        g = np.random.default_rng(dim).standard_normal((dim, dim))
+        ref = np.zeros_like(g)
+        for j in range(dim):
+            v = g[:, j].copy()
+            for _ in range(2):
+                v -= ref[:, :j] @ (ref[:, :j].T @ v)
+            ref[:, j] = v / np.linalg.norm(v)
+        assert np.abs(q - ref).max() < 1e-12
 
 
 def _ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -135,22 +151,59 @@ def test_basis_fraction_matches_quadrature_3d():
     assert abs(e.value - basis_fraction_3d().fraction) < 4.0 * e.std_error
 
 
-def test_estimates_are_deterministic_and_shard_invariant():
-    base = estimate_basis_fraction(3, 3 * CHUNK_SAMPLES + 17, seed=42)
-    again = estimate_basis_fraction(3, 3 * CHUNK_SAMPLES + 17, seed=42)
-    assert base.value == again.value
-    for shards in (2, 3, 7, 16):
-        sharded = estimate_basis_fraction(3, 3 * CHUNK_SAMPLES + 17, seed=42, shards=shards)
-        assert sharded.value == base.value
-    other = estimate_basis_fraction(3, 3 * CHUNK_SAMPLES + 17, seed=43)
-    assert other.value != base.value
+def test_slices_respect_the_draw_budget():
+    # Shapes only: at dimension 1e6 a whole chunk would be 65536 x 1e6
+    # doubles, so nothing here may be allocated.
+    assert list(montecarlo._slices(16, CHUNK_SAMPLES)) == [(0, [CHUNK_SAMPLES])]
+    for dim, samples in ((1000, 2 * CHUNK_SAMPLES + 7), (10**6, CHUNK_SAMPLES + 3)):
+        chunks = list(montecarlo._slices(dim, samples))
+        assert [index for index, _ in chunks] == list(range(len(chunks)))
+        assert [sum(sizes) for _, sizes in chunks] == [CHUNK_SAMPLES] * (len(chunks) - 1) + [
+            samples % CHUNK_SAMPLES
+        ]
+        assert max(max(sizes) for _, sizes in chunks) * dim <= montecarlo._SLICE_DOUBLES
 
 
-def test_vector_estimates_shard_invariant():
+def test_draw_memory_stays_within_a_few_slices():
+    # A slice is at most 8 MiB of normals, and a draw holds a few arrays
+    # of that size (about 26 MiB in all).  Unsliced, the chunk of 20000
+    # rows in R^500 takes 80 MB per array and peaks near 170 MiB.
+    tracemalloc.start()
+    try:
+        estimate_basis_fraction(500, 20_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * montecarlo._SLICE_DOUBLES
+
+
+def _runs():
+    return (
+        estimate_basis_fraction(3, CHUNK_SAMPLES + 17, seed=42),
+        verify_constraints(4, 50_000, seed=1),
+        axis_component_samples(6, 70_000, seed=77).tobytes(),
+    )
+
+
+def test_estimates_are_deterministic_and_shard_invariant(monkeypatch):
+    # Each chunk's draw is cut into slices of at most _SLICE_DOUBLES
+    # normals; how the draw is cut must not move any estimate.
+    ref = _runs()
+    assert _runs() == ref
+    assert estimate_basis_fraction(3, CHUNK_SAMPLES + 17, seed=43).value != ref[0].value
+    # 4099 doubles cut every chunk into ragged slices.
+    monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", 4099)
+    assert _runs() == ref
+
+
+def test_vector_estimates_shard_invariant(monkeypatch):
     ref = estimate_vector_fractions(5, 2 * CHUNK_SAMPLES + 5, seed=13)
-    for shards in (2, 5):
-        alt = estimate_vector_fractions(5, 2 * CHUNK_SAMPLES + 5, seed=13, shards=shards)
-        assert [e.value for e in alt] == [e.value for e in ref]
+    ref_row_by_row = estimate_vector_fractions(7, 300, seed=14)
+    monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", 4099)
+    assert estimate_vector_fractions(5, 2 * CHUNK_SAMPLES + 5, seed=13) == ref
+    # 5 doubles is less than one row at dimension 7: one row per draw.
+    monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", 5)
+    assert estimate_vector_fractions(7, 300, seed=14) == ref_row_by_row
 
 
 def test_axis_samples_bitwise_reproducible():
@@ -160,6 +213,18 @@ def test_axis_samples_bitwise_reproducible():
     # and consistent with the counting estimators chunk by chunk
     w, _, _ = estimate_vector_fractions(4, 70_000, seed=77)
     assert float((np.abs(a) < 0.5).mean()) == w.value
+
+
+def test_row_sampling_matches_whole_haar_bases_4d():
+    # The estimator colours one uniform row per basis; classifying whole
+    # QR bases with colour_of is an independent route to the same number.
+    rng = np.random.default_rng(2024)
+    params = ColouringParams(dim=4)
+    n = 4000
+    whole = sum(is_fully_coloured(sample_basis(4, rng), params) for _ in range(n)) / n
+    row = estimate_basis_fraction(4, 200_000, seed=2024)
+    se = math.sqrt(whole * (1.0 - whole) / n + row.std_error**2)
+    assert abs(whole - row.value) < 4.0 * se
 
 
 def test_bernoulli_variance_law():
@@ -185,6 +250,6 @@ def test_verify_constraints_all_clean():
 
 
 def test_verify_constraints_deterministic():
-    a = verify_constraints(3, 50_000, seed=1, shards=1)
-    b = verify_constraints(3, 50_000, seed=1, shards=4)
+    a = verify_constraints(3, 50_000, seed=1)
+    b = verify_constraints(3, 50_000, seed=1)
     assert a == b

@@ -3,12 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from kscolour.area import _belt_edge_angle
 from kscolour.numerics import (
     QuadratureConfig,
     QuadratureError,
-    erf,
     integrate,
-    simplex_circumradius,
     sin_power_integral,
     surface_ratio,
 )
@@ -178,43 +177,24 @@ def test_surface_ratio_validation():
         surface_ratio(3.0)  # type: ignore[arg-type]
 
 
-def test_simplex_circumradius_values():
-    assert simplex_circumradius(1) == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    assert simplex_circumradius(2) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
-    assert simplex_circumradius(3) == pytest.approx(math.sqrt(0.75), abs=1e-15)
-
-
 def test_simplex_circumradius_monotone_to_one():
-    values = [simplex_circumradius(n) for n in range(1, 60)]
+    # sin of the belt edge in dimension n + 1 is the n-simplex
+    # circumradius sqrt(n/(n+1)): it rises towards 1, so the belt narrows
+    # towards the equator as N grows.
+    values = [math.sin(_belt_edge_angle(n + 1)) for n in range(1, 60)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] < 1.0
 
 
 def test_simplex_circumradius_complements_belt_bound():
-    # cos(arcsin(R_(N-1))) = 1/sqrt(N): the belt edge in dimension N.
+    # The belt edge sits where sin(theta) is the (N-1)-simplex
+    # circumradius sqrt((N-1)/N), so cos(theta) = 1/sqrt(N).
     for n_dim in (3, 4, 7, 25):
-        edge = math.asin(simplex_circumradius(n_dim - 1))
-        assert math.cos(edge) == pytest.approx(1.0 / math.sqrt(n_dim), abs=1e-12)
-
-
-def test_simplex_circumradius_validation():
-    with pytest.raises(ValueError):
-        simplex_circumradius(0)
-
-
-def test_erf_zero_and_symmetry():
-    assert erf(0.0) == 0.0
-    assert erf(0.7) == -erf(-0.7)
+        assert math.cos(_belt_edge_angle(n_dim)) == pytest.approx(1.0 / math.sqrt(n_dim), abs=1e-12)
 
 
 def test_erf_against_direct_quadrature():
     # Independent route: integrate the Gaussian directly.
     for z in (0.25, 0.5, 1.0 / math.sqrt(2.0), 1.0, 2.0, 3.0):
         direct = 2.0 / math.sqrt(math.pi) * integrate(lambda t: math.exp(-t * t), 0.0, z)
-        assert erf(z) == pytest.approx(direct, abs=1e-13)
-
-
-@given(a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0))
-def test_erf_monotone(a, b):
-    lo, hi = sorted((a, b))
-    assert erf(lo) <= erf(hi)
+        assert math.erf(z) == pytest.approx(direct, abs=1e-13)
