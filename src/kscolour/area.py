@@ -53,9 +53,9 @@ class AreaBreakdown:
 
 
 def _belt_edge_angle(n_dim: int) -> float:
-    # Polar angle where the belt ends: sin(theta) = sqrt((N-1)/N), the
-    # circumradius of the regular (N-1)-simplex, so cos(theta) = 1/sqrt(N).
-    return math.asin(math.sqrt((n_dim - 1) / n_dim))
+    # Polar angle where the belt ends: cos(theta) = 1/sqrt(N).  (The
+    # arcsine of sin(theta) would magnify its rounding by sqrt(N).)
+    return math.acos(1.0 / math.sqrt(n_dim))
 
 
 def _check_dim(n_dim: int) -> None:

@@ -16,7 +16,10 @@ and its quarter-turn partner both stay White leaves arc measure
 The 4D reduction runs the same idea one level down: the sphere
 orthogonal to the Black vector is a 2-sphere on which White means
 |cos theta_1| < B with B = 1/(2 sin theta_2), and the remaining two
-vectors repeat the circle computation with h replaced by B.
+vectors repeat the circle computation with h replaced by B.  That
+inner integral is elementary, 2*pi*(max(0, B - c) + c + 2*B - 2) with
+c = sqrt(1 - B^2) for B < 1 and 2*pi above, so only theta_2 is left
+to quadrature.
 """
 
 import math
@@ -167,33 +170,24 @@ def belt_radius_4d(theta2: float) -> float:
     return 1.0 / (2.0 * math.sin(theta2))
 
 
-def orthosphere_white_integral(theta2: float, config: QuadratureConfig | None = None) -> float:
+def orthosphere_white_integral(theta2: float) -> float:
     """Weighted White-completion measure over the 2-sphere orthogonal to
-    a vector at polar angle theta2.
+    a vector at polar angle theta2, in closed form.
 
-    With B = belt_radius_4d(theta2) and b = min(B, 1): polar angles
-    theta1 in (arccos b, arcsin b) put the whole next circle inside the
-    White band (weight 2*pi); beyond arcsin b the paired-White arc
-    measure 8*arcsin(B/sin theta1) - 2*pi applies.  The first band is
-    dropped when arccos b > arcsin b (b below 1/sqrt(2)).  Weighting is
-    by sin(theta1).
+    With B = belt_radius_4d(theta2), c = sqrt(1 - B^2) and weight
+    sin(theta1): polar angles theta1 in (arccos B, arcsin B), a band
+    that exists for B > 1/sqrt(2), put the whole next circle inside the
+    White band and give 2*pi*(B - c).  Beyond arcsin B the paired-White
+    measure 8*arcsin(B/sin theta1) - 2*pi, integrated by parts in
+    u = cos(theta1), leaves the integral of 1/(1 - c^2 sin^2 phi) over
+    [0, pi/2], pi/(2B), and gives 2*pi*(c + 2*B - 2).  At B >= 1 the
+    whole 2-sphere is White and the value is 2*pi.
     """
-    cfg = config if config is not None else DEFAULT_QUADRATURE
     cap = belt_radius_4d(theta2)
-    b = min(cap, 1.0)
-    lo = math.acos(b)
-    hi = math.asin(b)
-    total = 0.0
-    if lo < hi:
-        total += 2.0 * math.pi * sin_power_integral(1, lo, hi, cfg)
-    if hi < 0.5 * math.pi:
-
-        def integrand(theta1: float) -> float:
-            ratio = min(cap / math.sin(theta1), 1.0)
-            return (8.0 * math.asin(ratio) - 2.0 * math.pi) * math.sin(theta1)
-
-        total += integrate(integrand, hi, 0.5 * math.pi, cfg)
-    return total
+    if cap >= 1.0:
+        return 2.0 * math.pi
+    c = math.sqrt(1.0 - cap * cap)
+    return 2.0 * math.pi * (max(0.0, cap - c) + c + 2.0 * cap - 2.0)
 
 
 def basis_fraction_4d(config: QuadratureConfig | None = None) -> BasisFractionResult:
@@ -203,31 +197,16 @@ def basis_fraction_4d(config: QuadratureConfig | None = None) -> BasisFractionRe
     by sin^2: a full-sphere 4*pi term up to arcsin(1/2) (where the
     orthogonal 2-sphere is entirely White) and the orthosphere integral
     from there to pi/4; normalized by pi^2 with combinatorial factor 4.
-
-    The inner quadrature runs 100x tighter than ``config`` and the
-    outer never below (abs 1e-11, rel 1e-9), keeping the outer error
-    estimate above the inner noise floor; both floors sit far inside
-    every tolerance this value is consumed at.
     """
     cfg = config if config is not None else DEFAULT_QUADRATURE
-    inner_cfg = QuadratureConfig(
-        abs_tol=max(cfg.abs_tol * 1e-2, 5e-15),
-        rel_tol=max(cfg.rel_tol * 1e-2, 5e-14),
-        max_subdivisions=cfg.max_subdivisions,
-    )
-    outer_cfg = QuadratureConfig(
-        abs_tol=max(cfg.abs_tol, 1e-11),
-        rel_tol=max(cfg.rel_tol, 1e-9),
-        max_subdivisions=cfg.max_subdivisions,
-    )
     split = math.asin(0.5)
-    all_white = 4.0 * math.pi * sin_power_integral(2, 0.0, split, outer_cfg)
+    all_white = 4.0 * math.pi * sin_power_integral(2, 0.0, split, cfg)
 
     def integrand(theta2: float) -> float:
         s = math.sin(theta2)
-        return orthosphere_white_integral(theta2, inner_cfg) * s * s
+        return orthosphere_white_integral(theta2) * s * s
 
-    mixed = integrate(integrand, split, 0.25 * math.pi, outer_cfg)
+    mixed = integrate(integrand, split, 0.25 * math.pi, cfg)
     raw = all_white + mixed
     normalizer = math.pi * math.pi
     factor = 4

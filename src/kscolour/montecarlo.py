@@ -5,10 +5,10 @@ Sampling is organised in fixed-size chunks of 65536 draws.  Chunk j of
 a run with seed s uses its own counter-based generator keyed by
 (s, j), so the stream for a chunk depends only on the seed and the
 chunk index.  Each chunk is drawn in row slices of at most
-_SLICE_DOUBLES normals, which bounds memory per draw up to dimension
-_SLICE_DOUBLES (a slice holds at least one row).  Philox yields the
-same normals whether a chunk is drawn in one call or in slices, so
-results are integer counts that do not depend on the slice size.
+_SLICE_DOUBLES normals (8 MiB), and runs above dimension 2^20, whose
+one row would exceed that, are refused.  Philox yields the same
+normals whether a chunk is drawn in one call or in slices, so results
+are integer counts that do not depend on the slice size.
 
 A basis is fully coloured, or breaks a constraint, according to the
 distinguished components of its vectors, which form one row of its
@@ -46,8 +46,8 @@ RNG_FAMILY = "philox4x64"
 
 # Most normals one draw asks for (8 MiB of doubles).  A full chunk fits
 # up to dimension 16; beyond that a chunk is drawn in several slices,
-# down to one row per slice at dimension 2^20.
-_SLICE_DOUBLES = 1 << 20
+# down to one row per slice at _MAX_DIM.
+_SLICE_DOUBLES = _MAX_DIM = 1 << 20
 _SEED_LIMIT = 1 << 64
 _DEGENERATE = 1e-8
 _SE_TOL = 1e-12
@@ -113,6 +113,8 @@ def _check_run(dim: int, samples: int, seed: int) -> None:
         raise ValueError("dimension must be an integer")
     if dim < 3:
         raise ValueError("dimension must be at least 3")
+    if dim > _MAX_DIM:
+        raise ValueError(f"dimension must be at most {_MAX_DIM}, where one row fills a draw")
     if not isinstance(samples, int) or isinstance(samples, bool):
         raise ValueError("samples must be an integer")
     if samples < 1:

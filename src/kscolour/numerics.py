@@ -178,8 +178,11 @@ def sin_power_integral(
     """Integral of sin(t)**p over [a, b] for integer p >= 0, 0 <= a <= b <= pi.
 
     The integrand is evaluated as exp(p * log sin t) so that large
-    powers (polar-cap integrals in dimensions up to 1e7) neither
-    underflow pairwise products nor lose the sharp peak at pi/2.
+    powers (polar-cap integrals in dimensions up to 1e7) do not
+    underflow pairwise products.  Within pi/4 of the peak at pi/2,
+    log sin t is taken as log(cos u) = log1p(-2 sin^2(u/2)) with
+    u = pi/2 - t: the log of a rounded sine errs by eps there, which p
+    multiplies.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError("power p must be an integer")
@@ -189,8 +192,13 @@ def sin_power_integral(
         raise ValueError(f"bounds must satisfy 0 <= a <= b <= pi, got [{a!r}, {b!r}]")
     if p == 0:
         return b - a
+    half_pi = 0.5 * math.pi
 
     def integrand(t: float) -> float:
+        u = half_pi - t
+        if abs(u) < 0.25 * math.pi:
+            h = math.sin(0.5 * u)
+            return math.exp(p * math.log1p(-2.0 * h * h))
         s = math.sin(t)
         if s <= 0.0:
             return 0.0
@@ -202,12 +210,20 @@ def sin_power_integral(
 def surface_ratio(n_dim: int) -> float:
     """vol(S^(n-2)) / vol(S^(n-1)), the equator-to-sphere surface ratio in R^n.
 
-    Equal to Gamma(n/2) / (sqrt(pi) * Gamma((n-1)/2)); evaluated with
-    log-gammas so it stays finite for n up to at least 1e7.  Grows like
-    sqrt(n / (2*pi)).
+    Gamma(x + 1/2) / (sqrt(pi) * Gamma(x)) with x = (n-1)/2, from
+    log-gammas below n = 50.  Above, their difference would lose about
+    n * eps, so the large-x series log(Gamma(x + 1/2) / Gamma(x)) =
+    log(x)/2 - 1/(8x) + 1/(192x^3) - 1/(640x^5) + 17/(14336x^7) - ...
+    (Tricomi and Erdelyi, Pacific J. Math. 1 (1951) 133) is used; its
+    next term is below 1e-15 at x = 24.5.  Grows like sqrt(n / (2*pi)).
     """
     if not isinstance(n_dim, int) or isinstance(n_dim, bool):
         raise ValueError("dimension must be an integer")
     if n_dim < 2:
         raise ValueError("dimension must be at least 2")
-    return math.exp(math.lgamma(0.5 * n_dim) - math.lgamma(0.5 * (n_dim - 1)) - 0.5 * math.log(math.pi))
+    if n_dim < 50:
+        return math.exp(math.lgamma(0.5 * n_dim) - math.lgamma(0.5 * (n_dim - 1)) - 0.5 * math.log(math.pi))
+    x = 0.5 * (n_dim - 1)
+    r = 1.0 / (x * x)
+    tail = (((17.0 / 14336.0 * r - 1.0 / 640.0) * r + 1.0 / 192.0) * r - 0.125) / x
+    return math.sqrt(x / math.pi) * math.exp(tail)

@@ -180,3 +180,25 @@ def test_limit_series_validation():
         limit_series(-1)
     with pytest.raises(ValueError):
         limit_series(2.5)  # type: ignore[arg-type]
+
+
+def _oracle_dims():
+    # Every N in 3..400, then each power of ten up to 1e7 with the odd N
+    # within 9 of it.
+    return list(range(3, 401)) + [10**e + k for e in range(3, 8) for k in range(-9, 10) if k == 0 or k % 2]
+
+
+def test_fractions_match_betainc_within_requested_tolerance():
+    # The squared distinguished component of a uniform unit vector in R^N
+    # is Beta(1/2, (N-1)/2): White is t^2 < 1/N, Black is t^2 > 1/2.
+    special = pytest.importorskip("scipy.special")
+    worst = 0.0
+    for n_dim in _oracle_dims():
+        b = 0.5 * (n_dim - 1)
+        row = total_fraction(n_dim)
+        for got, ref in (
+            (row.white_fraction, float(special.betainc(0.5, b, 1.0 / n_dim))),
+            (row.black_fraction, float(special.betaincc(0.5, b, 0.5))),
+        ):
+            worst = max(worst, abs(got - ref) / max(1e-12, 1e-10 * abs(ref)))
+    assert worst <= 1.0, f"worst error is {worst:.3g} of the requested abs 1e-12 / rel 1e-10"

@@ -15,9 +15,13 @@ from kscolour.bases import (
     white_pair_angle,
 )
 from kscolour.colouring import ColouringParams, colour_masks
-from kscolour.numerics import QuadratureConfig, sin_power_integral
+from kscolour.numerics import QuadratureConfig, integrate, sin_power_integral
 
 H3 = 1.0 / math.sqrt(3.0)
+# The R^4 prescription in closed form, and the Haar probability that an
+# R^4 basis is fully coloured.
+PRESCRIPTION_4D = 2.0 / 3.0 + (4.0 + 2.0 * math.sqrt(3.0) - 6.0 * math.sqrt(2.0)) / math.pi
+HAAR_4D = (8.0 + 6.0 * math.sqrt(3.0) - 12.0 * math.sqrt(2.0)) / math.pi
 
 # Endpoint references computed independently (plain trigonometry).
 ARC_AT_EQUATOR = 2.0 * math.asin(H3)            # 1.2309594173407747
@@ -137,6 +141,42 @@ def test_belt_radius_4d_validation():
             belt_radius_4d(bad)
 
 
+def nested_orthosphere_white_integral(theta2: float) -> float:
+    """Quadrature oracle for orthosphere_white_integral.
+
+    Integrates the two bands over theta1 directly: weight 2*pi where
+    the whole next circle is White, the paired-White arc measure
+    8*arcsin(B/sin theta1) - 2*pi beyond arcsin(min(B, 1)).
+    """
+    config = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+    cap = belt_radius_4d(theta2)
+    b = min(cap, 1.0)
+    lo = math.acos(b)
+    hi = math.asin(b)
+    total = 0.0
+    if lo < hi:
+        total += 2.0 * math.pi * integrate(math.sin, lo, hi, config)
+    if hi < 0.5 * math.pi:
+
+        def integrand(theta1: float) -> float:
+            ratio = min(cap / math.sin(theta1), 1.0)
+            return (8.0 * math.asin(ratio) - 2.0 * math.pi) * math.sin(theta1)
+
+        total += integrate(integrand, hi, 0.5 * math.pi, config)
+    return total
+
+
+@pytest.mark.parametrize(
+    "theta2",
+    # B >= 1; 1/sqrt(2) <= B < 1; B < 1/sqrt(2) (from pi/4 on).
+    [0.2, math.pi / 6.0 - 1e-9, math.pi / 6.0 + 1e-9, 0.53, 0.7, math.pi / 4.0, 0.8, 1.0, 1.3, math.pi / 2.0],
+)
+def test_orthosphere_closed_form_matches_nested_quadrature(theta2):
+    assert orthosphere_white_integral(theta2) == pytest.approx(
+        nested_orthosphere_white_integral(theta2), abs=1e-11
+    )
+
+
 def test_orthosphere_integral_all_white_regime():
     # Below arcsin(1/2) the bound exceeds 1 and the whole 2-sphere is
     # white: the integral is exactly the full spherical measure 2*pi.
@@ -170,11 +210,20 @@ def test_basis_fraction_4d_structure_and_value():
     assert r.dim == 4
     assert r.normalizer == pytest.approx(math.pi**2, abs=1e-15)
     assert r.combinatorial_factor == 4
-    # reference value from an independent quadrature implementation
-    assert r.fraction == pytest.approx(0.3416150537740953, abs=1e-8)
+    assert r.fraction == pytest.approx(PRESCRIPTION_4D, abs=1e-12)
     split = math.asin(0.5)
     band = 4.0 * math.pi * sin_power_integral(2, 0.0, split)
     assert r.raw_integral - band == pytest.approx(0.2737322722066709, abs=1e-8)
+
+
+def test_doubling_the_mixed_term_gives_the_haar_value_4d():
+    # The prescription weighs the all-White band with the full-sphere
+    # 4*pi, but its mixed term with the orthosphere integral, which
+    # reaches only 2*pi at the band's edge.  Doubling the mixed term puts
+    # both on the same footing, and the result is exactly the Haar value.
+    band = 4.0 * math.pi * (math.pi / 12.0 - math.sqrt(3.0) / 8.0)
+    mixed = basis_fraction_4d().raw_integral - band
+    assert 4.0 / math.pi**2 * (band + 2.0 * mixed) == pytest.approx(HAAR_4D, abs=1e-12)
 
 
 def test_basis_fraction_4d_stable_under_tighter_tolerances():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kscolour import __version__
+from kscolour import __version__, montecarlo
 from kscolour.cli import main
 
 GOLDEN_SCAN_3_TO_6 = (
@@ -215,3 +215,22 @@ def test_unreachable_tolerance_is_numerical_failure():
     proc = run_cli("area", "--dim", "3", "--abs-tol", "1e-300", "--rel-tol", "1e-300")
     assert proc.returncode == 2
     assert "numerical failure" in proc.stderr
+
+
+def test_basis_4d_unreachable_tolerance_is_numerical_failure(capsys):
+    # The requested tolerances reach the 4D quadrature unchanged, so one
+    # below what doubles resolve fails there as it does in dimension 3.
+    assert main(["basis", "--dim", "4", "--abs-tol", "1e-16", "--rel-tol", "1e-16"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["basis", "--method", "montecarlo"], ["verify"]])
+def test_montecarlo_dimension_beyond_one_row_per_draw_is_usage_error(command, monkeypatch, capsys):
+    # One row of R^(2^20 + 1) alone exceeds the per-draw budget; the run
+    # is refused before anything is drawn.
+    def no_draw(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(montecarlo, "_unit_rows", no_draw)
+    assert main([*command, "--dim", "1048577", "--samples", "1", "--seed", "1"]) == 1
+    assert "at most 1048576" in capsys.readouterr().err

@@ -164,6 +164,16 @@ def test_slices_respect_the_draw_budget():
         assert max(max(sizes) for _, sizes in chunks) * dim <= montecarlo._SLICE_DOUBLES
 
 
+def test_dimension_limit_is_one_row_per_draw():
+    # At 2^20 one row fills a draw; one dimension more is refused by
+    # every run before it draws.
+    assert list(montecarlo._slices(2**20, 3)) == [(0, [1, 1, 1])]
+    assert axis_component_samples(2**20, 1, seed=3).shape == (1,)
+    for run in (axis_component_samples, estimate_vector_fractions, estimate_basis_fraction, verify_constraints):
+        with pytest.raises(ValueError, match="at most 1048576"):
+            run(2**20 + 1, 1, 3)
+
+
 def test_draw_memory_stays_within_a_few_slices():
     # A slice is at most 8 MiB of normals, and a draw holds a few arrays
     # of that size (about 26 MiB in all).  Unsliced, the chunk of 20000

@@ -149,6 +149,18 @@ def test_sin_power_large_exponent_stays_finite():
     assert 0.0 < val < math.pi / 2.0
 
 
+def test_sin_power_large_exponent_keeps_relative_precision():
+    # Over the peak at pi/2 (12 widths of it; the rest is below e^-72)
+    # the integral is Wallis's sqrt(pi) Gamma((p+1)/2) / (2 Gamma(p/2+1)).
+    # Taking log of the rounded sine there would cost about p * eps.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for p in (10**6 - 1, 10**6, 10**7 - 7, 10**7 - 3, 10**7, 10**7 + 5):
+            ref = mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(p + 1) / 2) / (2 * mpmath.gamma(mpmath.mpf(p) / 2 + 1))
+            got = sin_power_integral(p, 0.5 * math.pi - 12.0 / math.sqrt(p), 0.5 * math.pi)
+            assert got == pytest.approx(float(ref), rel=2e-12, abs=0.0)
+
+
 def test_surface_ratio_small_dimensions():
     assert surface_ratio(2) == pytest.approx(1.0 / math.pi, abs=1e-14)
     assert surface_ratio(3) == pytest.approx(0.5, abs=1e-14)
@@ -168,6 +180,16 @@ def test_surface_ratio_asymptotics():
     n = 10**6
     assert surface_ratio(n) == pytest.approx(math.sqrt(n / (2.0 * math.pi)), rel=1e-5)
     assert math.isfinite(surface_ratio(10**7))
+
+
+def test_surface_ratio_against_mpmath_gamma():
+    # Both sides of the switch from log-gammas to the asymptotic series
+    # at N = 50, and the largest dimensions the area fractions promise.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for n in (3, 4, 7, 12, 48, 49, 50, 51, 64, 199, 1000, 12345, 10**5, 10**6 + 1, 10**7, 10**7 + 3):
+            ref = mpmath.gamma(mpmath.mpf(n) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n - 1) / 2))
+            assert surface_ratio(n) == pytest.approx(float(ref), rel=2e-14, abs=0.0)
 
 
 def test_surface_ratio_validation():
