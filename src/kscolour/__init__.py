@@ -6,6 +6,10 @@ and Uncoloured in between.  The package computes how effective that
 partial colouring is: the coloured share of the sphere's surface and
 the share of orthonormal bases coloured completely, each with an
 independent Monte Carlo cross-check.
+
+The quadrature layers (numerics, area, bases) are pure Python.  The
+names of colouring and montecarlo need numpy, so they are bound on
+first access, all at once, and only sampling pays for that import.
 """
 
 __version__ = "0.1.0"
@@ -29,25 +33,6 @@ from .bases import (
     orthosphere_white_integral,
     white_arc_angle,
     white_pair_angle,
-)
-from .colouring import (
-    Colour,
-    ColouringParams,
-    OrthonormalBasis,
-    UnitVector,
-    classify_basis,
-    colour_of,
-    is_fully_coloured,
-    ks_satisfied,
-)
-from .montecarlo import (
-    Estimate,
-    ViolationReport,
-    estimate_basis_fraction,
-    estimate_vector_fractions,
-    sample_basis,
-    sample_unit_vector,
-    verify_constraints,
 )
 from .numerics import (
     QuadratureConfig,
@@ -81,12 +66,10 @@ __all__ = [
     "estimate_basis_fraction",
     "estimate_vector_fractions",
     "integrate",
-    "is_fully_coloured",
     "ks_satisfied",
     "limit_series",
     "orthosphere_white_integral",
     "sample_basis",
-    "sample_unit_vector",
     "scan",
     "sin_power_integral",
     "surface_ratio",
@@ -96,3 +79,20 @@ __all__ = [
     "white_fraction",
     "white_pair_angle",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names not yet bound.  Binding every public
+    # name of both numpy layers at once keeps later lookups plain dict hits.
+    if name in __all__:
+        from . import colouring, montecarlo
+
+        for module in (colouring, montecarlo):
+            globals().update((attr, getattr(module, attr)) for attr in module.__all__ if attr in __all__)
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -28,12 +28,6 @@ from .bases import (
     basis_fraction_3d,
     basis_fraction_4d,
 )
-from .montecarlo import (
-    CHUNK_SAMPLES,
-    RNG_FAMILY,
-    estimate_basis_fraction,
-    verify_constraints,
-)
 from .numerics import QuadratureConfig, QuadratureError
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL", "EXIT_VERIFICATION", "RunManifest", "main", "run"]
@@ -247,6 +241,9 @@ def _cmd_basis(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be positive, got {args.samples}")
     seed = _resolve_seed(args)
+    # Imported here so that the quadrature commands never load numpy.
+    from .montecarlo import CHUNK_SAMPLES, RNG_FAMILY, estimate_basis_fraction
+
     estimate = estimate_basis_fraction(args.dim, args.samples, seed)
     print("method: montecarlo")
     print(f"rng: {RNG_FAMILY} (chunks of {CHUNK_SAMPLES} keyed by seed and chunk index)")
@@ -276,6 +273,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise UsageError(f"--samples must be positive, got {args.samples}")
     seed = _resolve_seed(args)
+    from .montecarlo import RNG_FAMILY, verify_constraints
+
     report = verify_constraints(args.dim, args.samples, seed)
     print(f"dimension: {args.dim}")
     print(f"samples: {report.samples}")

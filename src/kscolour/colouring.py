@@ -23,7 +23,6 @@ __all__ = [
     "colour_masks",
     "colour_of",
     "classify_basis",
-    "is_fully_coloured",
     "ks_satisfied",
     "NORM_TOLERANCE",
     "RENORM_TOLERANCE",
@@ -202,11 +201,6 @@ def colour_of(vector: UnitVector, params: ColouringParams) -> Colour:
 def classify_basis(basis: OrthonormalBasis, params: ColouringParams) -> list[Colour]:
     """Colours of the basis vectors, in basis order."""
     return [colour_of(v, params) for v in basis]
-
-
-def is_fully_coloured(basis: OrthonormalBasis, params: ColouringParams) -> bool:
-    """True when no vector of the basis is Uncoloured."""
-    return Colour.UNCOLOURED not in classify_basis(basis, params)
 
 
 def ks_satisfied(basis: OrthonormalBasis, params: ColouringParams) -> bool:

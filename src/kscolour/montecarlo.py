@@ -26,16 +26,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .colouring import ColouringParams, OrthonormalBasis, UnitVector, colour_masks
+from .colouring import ColouringParams, OrthonormalBasis, colour_masks
 
 __all__ = [
     "CHUNK_SAMPLES",
     "RNG_FAMILY",
     "Estimate",
     "ViolationReport",
-    "sample_unit_vector",
     "sample_basis",
-    "axis_component_samples",
     "estimate_vector_fractions",
     "estimate_basis_fraction",
     "verify_constraints",
@@ -163,13 +161,6 @@ def _estimate(value: float, samples: int, seed: int) -> Estimate:
     )
 
 
-def sample_unit_vector(dim: int, rng: np.random.Generator) -> UnitVector:
-    """One uniformly distributed unit vector in R^dim."""
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError("dimension must be a positive integer")
-    return UnitVector(_unit_rows(dim, 1, rng)[0])
-
-
 def sample_basis(dim: int, rng: np.random.Generator) -> OrthonormalBasis:
     """One Haar-uniform ordered orthonormal basis of R^dim.
 
@@ -181,23 +172,6 @@ def sample_basis(dim: int, rng: np.random.Generator) -> OrthonormalBasis:
         raise ValueError("dimension must be a positive integer")
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return OrthonormalBasis.from_matrix(q * np.copysign(1.0, np.diag(r)))
-
-
-def axis_component_samples(dim: int, samples: int, seed: int) -> np.ndarray:
-    """Distinguished components of uniformly sampled unit vectors.
-
-    Returns the signed last coordinate of each sampled vector, drawn
-    with the same chunked streams the estimators use.  Handy for
-    distribution checks against the exact marginal density
-    proportional to (1 - t^2)^((dim-3)/2).
-    """
-    _check_run(dim, samples, seed)
-    out = np.empty(samples)
-    start = 0
-    for rows in _row_stream(dim, samples, seed):
-        out[start : start + len(rows)] = rows[:, -1]
-        start += len(rows)
-    return out
 
 
 def estimate_vector_fractions(dim: int, samples: int, seed: int) -> tuple[Estimate, Estimate, Estimate]:

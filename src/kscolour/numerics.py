@@ -43,14 +43,6 @@ class QuadratureConfig:
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
-    def tightened(self, factor: float) -> "QuadratureConfig":
-        """Copy with both tolerances multiplied by ``factor``."""
-        return QuadratureConfig(
-            abs_tol=self.abs_tol * factor,
-            rel_tol=self.rel_tol * factor,
-            max_subdivisions=self.max_subdivisions,
-        )
-
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 

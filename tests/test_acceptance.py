@@ -21,11 +21,12 @@ from kscolour.area import (
 )
 from kscolour.bases import DIM4_DISCREPANCY_NOTICE, basis_fraction_3d, basis_fraction_4d
 from kscolour.montecarlo import (
-    axis_component_samples,
     estimate_basis_fraction,
     estimate_vector_fractions,
     verify_constraints,
 )
+
+from helpers import axis_component_samples
 
 SEED_BASIS_3D = 61906
 SEED_BASIS_4D = 71917

@@ -175,6 +175,21 @@ def test_limit_series_alternating_bound():
         assert abs(limit_series(k) - target) <= dropped + 1e-15
 
 
+def test_limit_series_stops_once_terms_underflow():
+    # The running term is 0.0 from k = 156 on, so a huge k_max returns
+    # at once with the same bits as a sum that adds every zero.
+    def every_term(k_max):
+        total = term = 1.0
+        for k in range(1, k_max + 1):
+            term *= -(2 * k - 1) / (2.0 * k * (2 * k + 1))
+            total += term
+        return total
+
+    for k in (155, 156, 157, 400):
+        assert limit_series(k) == every_term(k)
+    assert limit_series(10**15) == limit_series(200)
+
+
 def test_limit_series_validation():
     with pytest.raises(ValueError):
         limit_series(-1)

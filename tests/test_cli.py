@@ -18,16 +18,24 @@ GOLDEN_SCAN_3_TO_6 = (
 )
 
 
-def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
+# Runs the CLI with every import of numpy failing.
+_WITHOUT_NUMPY = "import sys, runpy; sys.modules['numpy'] = None; runpy.run_module('kscolour', run_name='__main__')"
+
+
+def run_cli(
+    *args: str, env_extra: dict | None = None, timeout: float | None = None, without_numpy: bool = False
+) -> subprocess.CompletedProcess:
     env = os.environ.copy()
     env.pop("KSCOLOUR_SEED", None)
     if env_extra:
         env.update(env_extra)
+    entry = ["-c", _WITHOUT_NUMPY] if without_numpy else ["-m", "kscolour"]
     return subprocess.run(
-        [sys.executable, "-m", "kscolour", *args],
+        [sys.executable, *entry, *args],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -135,6 +143,13 @@ def test_limit_single_term():
     assert "0.833333333333" in proc.stdout
 
 
+def test_limit_huge_series_terms_returns_promptly():
+    # Terms underflow to zero at k = 156; the sum must not walk on to 1e12.
+    proc = run_cli("limit", "--series-terms", "1000000000000", timeout=30)
+    assert proc.returncode == 0
+    assert "partial sum through k=1000000000000: 0.855624391892" in proc.stdout
+
+
 def test_basis_quadrature_values():
     proc3 = run_cli("basis", "--dim", "3", "--method", "quadrature")
     assert proc3.returncode == 0
@@ -234,3 +249,33 @@ def test_montecarlo_dimension_beyond_one_row_per_draw_is_usage_error(command, mo
     monkeypatch.setattr(montecarlo, "_unit_rows", no_draw)
     assert main([*command, "--dim", "1048577", "--samples", "1", "--seed", "1"]) == 1
     assert "at most 1048576" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, code, expected",
+    [
+        (("area", "--dim", "50"), 0, "total coloured: 0.677776600683"),
+        (("scan", "--from", "3", "--to", "8"), 0, "least total coloured fraction: N=8 at 0.682528837444"),
+        (("limit",), 0, "erf(1/sqrt(2)): 0.682689492137"),
+        (("basis", "--dim", "3"), 0, "fully coloured basis fraction: 0.695759466758"),
+        (("basis", "--dim", "4"), 0, "fully coloured basis fraction: 0.341615053774"),
+        (("area", "--dim", "2"), 1, "error: --dim must be at least 3"),
+    ],
+    ids=["area", "scan", "limit", "basis3", "basis4", "usage"],
+)
+def test_quadrature_commands_run_without_numpy(args, code, expected):
+    # Only the sampling commands may load numpy; the others print the
+    # same bytes and exit with the same code when it cannot be imported.
+    blocked = run_cli(*args, without_numpy=True)
+    assert blocked.returncode == code, blocked.stderr
+    assert expected in blocked.stdout + blocked.stderr
+    plain = run_cli(*args)
+    assert (blocked.stdout, blocked.stderr, blocked.returncode) == (plain.stdout, plain.stderr, plain.returncode)
+
+
+def test_scan_to_csv_runs_without_numpy(tmp_path):
+    out = tmp_path / "scan.csv"
+    proc = run_cli("scan", "--from", "3", "--to", "6", "--out", str(out), without_numpy=True)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == GOLDEN_SCAN_3_TO_6.encode("utf-8")
+    assert json.loads((tmp_path / "scan.csv.manifest.json").read_text())["seed"] is None

@@ -12,9 +12,10 @@ from kscolour.colouring import (
     classify_basis,
     colour_masks,
     colour_of,
-    is_fully_coloured,
     ks_satisfied,
 )
+
+from helpers import is_fully_coloured
 
 P3 = ColouringParams(dim=3)
 P4 = ColouringParams(dim=4)

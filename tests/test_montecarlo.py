@@ -7,18 +7,18 @@ import pytest
 from kscolour import montecarlo
 from kscolour.area import black_fraction, white_fraction
 from kscolour.bases import basis_fraction_3d
-from kscolour.colouring import ColouringParams, is_fully_coloured
+from kscolour.colouring import ColouringParams
 from kscolour.montecarlo import (
     CHUNK_SAMPLES,
     Estimate,
     ViolationReport,
-    axis_component_samples,
     estimate_basis_fraction,
     estimate_vector_fractions,
     sample_basis,
-    sample_unit_vector,
     verify_constraints,
 )
+
+from helpers import axis_component_samples, is_fully_coloured, sample_unit_vector
 
 
 def test_estimate_validation():

@@ -68,11 +68,6 @@ def test_config_validation():
         QuadratureConfig(max_subdivisions=0)
 
 
-def test_config_tightened():
-    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8).tightened(0.5)
-    assert cfg.abs_tol == 5e-11 and cfg.rel_tol == 5e-9
-
-
 @given(
     coeffs=st.tuples(*[st.floats(-3.0, 3.0) for _ in range(4)]),
     a=st.floats(-4.0, 4.0),
