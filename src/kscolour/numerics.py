@@ -25,7 +25,7 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and subdivision budget for :func:`integrate`.
+    """Tolerances for :func:`integrate`.
 
     The integrator stops once its error estimate drops below
     ``max(abs_tol, rel_tol * |result|)``.
@@ -33,18 +33,17 @@ class QuadratureConfig:
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
             raise ValueError("abs_tol must be positive and finite")
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
             raise ValueError("rel_tol must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+# Panel bisections :func:`integrate` may spend before it gives up.
+_MAX_SUBDIVISIONS = 2000
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 # Rows: (node, Kronrod weight, Gauss weight); Gauss weight is zero on
@@ -113,7 +112,7 @@ def integrate(
     a, b : float
         Bounds with ``a <= b``.
     config : QuadratureConfig, optional
-        Tolerances and budget; defaults to ``DEFAULT_QUADRATURE``.
+        Tolerances; defaults to ``DEFAULT_QUADRATURE``.
 
     Raises
     ------
@@ -134,7 +133,7 @@ def integrate(
     total_err = err
     heap = [(-err, 0, a, b, value, err)]
     tick = 1
-    for _ in range(cfg.max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             break
         _, _, lo, hi, old_val, old_err = heapq.heappop(heap)
@@ -154,7 +153,7 @@ def integrate(
     else:
         if total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             raise QuadratureError(
-                f"no convergence after {cfg.max_subdivisions} subdivisions: "
+                f"no convergence after {_MAX_SUBDIVISIONS} subdivisions: "
                 f"error estimate {total_err:.3e} exceeds tolerance "
                 f"max({cfg.abs_tol:.3e}, {cfg.rel_tol:.3e} * |{total:.6e}|)"
             )

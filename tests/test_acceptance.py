@@ -19,7 +19,8 @@ from kscolour.area import (
     total_fraction,
     white_fraction,
 )
-from kscolour.bases import DIM4_DISCREPANCY_NOTICE, basis_fraction_3d, basis_fraction_4d
+from kscolour.bases import basis_fraction_3d, basis_fraction_4d
+from kscolour.cli import DIM4_DISCREPANCY_NOTICE
 from kscolour.montecarlo import (
     estimate_basis_fraction,
     estimate_vector_fractions,

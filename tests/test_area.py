@@ -65,12 +65,17 @@ def test_breakdown_consistency():
 
 
 def test_breakdown_validation():
+    row = AreaBreakdown(dim=3, white_fraction=0.5, black_fraction=0.2)
+    assert row.total_fraction == 0.7
     with pytest.raises(ValueError):
-        AreaBreakdown(dim=3, white_fraction=0.5, black_fraction=0.2, total_fraction=0.9)
+        AreaBreakdown(dim=3, white_fraction=-0.1, black_fraction=0.2)
     with pytest.raises(ValueError):
-        AreaBreakdown(dim=3, white_fraction=-0.1, black_fraction=0.2, total_fraction=0.1)
-    with pytest.raises(ValueError):
-        AreaBreakdown(dim=2, white_fraction=0.1, black_fraction=0.2, total_fraction=0.3)
+        AreaBreakdown(dim=2, white_fraction=0.1, black_fraction=0.2)
+    # Overlapping regions: each share is a fraction, their sum is not.
+    with pytest.raises(ValueError, match="total_fraction"):
+        AreaBreakdown(dim=3, white_fraction=0.7, black_fraction=0.4)
+    with pytest.raises(TypeError):
+        AreaBreakdown(dim=3, white_fraction=0.5, black_fraction=0.2, total_fraction=0.7)
 
 
 def test_dimension_validation():

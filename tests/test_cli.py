@@ -17,6 +17,24 @@ GOLDEN_SCAN_3_TO_6 = (
     "6,0.636782532351,0.0755868184216,0.712369350772\n"
 )
 
+GOLDEN_BASIS_3 = (
+    "dimension: 3\n"
+    "method: quadrature\n"
+    "raw integral: 1.45719521962\n"
+    "normalizer: 6.28318530718\n"
+    "combinatorial factor: 3\n"
+    "fully coloured basis fraction: 0.695759466758 (69.576%)\n"
+)
+
+GOLDEN_BASIS_4 = (
+    "dimension: 4\n"
+    "method: quadrature\n"
+    "raw integral: 0.842901359552\n"
+    "normalizer: 9.86960440109\n"
+    "combinatorial factor: 4\n"
+    "fully coloured basis fraction: 0.341615053774 (34.162%)\n"
+)
+
 
 # Runs the CLI with every import of numpy failing.
 _WITHOUT_NUMPY = "import sys, runpy; sys.modules['numpy'] = None; runpy.run_module('kscolour', run_name='__main__')"
@@ -153,10 +171,10 @@ def test_limit_huge_series_terms_returns_promptly():
 def test_basis_quadrature_values():
     proc3 = run_cli("basis", "--dim", "3", "--method", "quadrature")
     assert proc3.returncode == 0
-    assert "0.695759466758" in proc3.stdout
+    assert proc3.stdout == GOLDEN_BASIS_3
     proc4 = run_cli("basis", "--dim", "4")
     assert proc4.returncode == 0
-    assert "0.341615053774" in proc4.stdout
+    assert proc4.stdout == GOLDEN_BASIS_4
 
 
 def test_basis_quadrature_high_dimension_is_usage_error():
@@ -239,6 +257,23 @@ def test_basis_4d_unreachable_tolerance_is_numerical_failure(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["--dim", "5", "--method", "quadrature"], 1),
+        (["--dim", "3", "--method", "montecarlo", "--samples", "0"], 1),
+        (["--dim", "3", "--method", "montecarlo", "--samples", "10", "--seed", "-1"], 1),
+        (["--dim", "4", "--abs-tol", "1e-16", "--rel-tol", "1e-16"], 2),
+    ],
+    ids=["quadrature_dim5", "zero_samples", "negative_seed", "unreachable_tolerance"],
+)
+def test_basis_failure_leaves_stdout_empty(args, code, capsys):
+    assert main(["basis", *args]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err
+
+
 @pytest.mark.parametrize("command", [["basis", "--method", "montecarlo"], ["verify"]])
 def test_montecarlo_dimension_beyond_one_row_per_draw_is_usage_error(command, monkeypatch, capsys):
     # One row of R^(2^20 + 1) alone exceeds the per-draw budget; the run
@@ -260,8 +295,9 @@ def test_montecarlo_dimension_beyond_one_row_per_draw_is_usage_error(command, mo
         (("basis", "--dim", "3"), 0, "fully coloured basis fraction: 0.695759466758"),
         (("basis", "--dim", "4"), 0, "fully coloured basis fraction: 0.341615053774"),
         (("area", "--dim", "2"), 1, "error: --dim must be at least 3"),
+        (("area", "--dim", "3", "--abs-tol", "0"), 1, "error: abs_tol must be positive and finite"),
     ],
-    ids=["area", "scan", "limit", "basis3", "basis4", "usage"],
+    ids=["area", "scan", "limit", "basis3", "basis4", "usage", "bad_tolerance"],
 )
 def test_quadrature_commands_run_without_numpy(args, code, expected):
     # Only the sampling commands may load numpy; the others print the

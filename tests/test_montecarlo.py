@@ -22,18 +22,18 @@ from helpers import axis_component_samples, is_fully_coloured, sample_unit_vecto
 
 
 def test_estimate_validation():
-    good = math.sqrt(0.25 / 100)
-    Estimate(value=0.5, std_error=good, samples=100, seed=1)
+    assert Estimate(value=0.5, samples=100, seed=1).std_error == math.sqrt(0.25 / 100)
+    assert Estimate(value=1.0, samples=100, seed=1).std_error == 0.0
     with pytest.raises(ValueError):
-        Estimate(value=0.5, std_error=good * 2, samples=100, seed=1)
+        Estimate(value=1.5, samples=100, seed=1)
     with pytest.raises(ValueError):
-        Estimate(value=1.5, std_error=0.0, samples=100, seed=1)
+        Estimate(value=0.5, samples=0, seed=1)
     with pytest.raises(ValueError):
-        Estimate(value=0.5, std_error=good, samples=0, seed=1)
+        Estimate(value=0.5, samples=100, seed=-1)
     with pytest.raises(ValueError):
-        Estimate(value=0.5, std_error=good, samples=100, seed=-1)
-    with pytest.raises(ValueError):
-        Estimate(value=0.5, std_error=good, samples=100, seed=2**64)
+        Estimate(value=0.5, samples=100, seed=2**64)
+    with pytest.raises(TypeError):
+        Estimate(value=0.5, std_error=0.05, samples=100, seed=1)
 
 
 def test_violation_report_helpers():
