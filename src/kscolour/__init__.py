@@ -7,7 +7,7 @@ partial colouring is: the coloured share of the sphere's surface and
 the share of orthonormal bases coloured completely, each with an
 independent Monte Carlo cross-check.
 
-The quadrature layers (numerics, area, bases) are pure Python.  The
+The exact layers (numerics, area, bases) are pure Python.  The
 names of colouring and montecarlo need numpy, so they are bound on
 first access, all at once, and only sampling pays for that import.
 """

@@ -2,17 +2,17 @@
 
 White is an equatorial belt of half-width 1/sqrt(N) in the
 distinguished component, Black is the pair of polar caps beyond
-1/sqrt(2).  Fractions are exact surface integrals: the marginal of the
-distinguished component t on S^(N-1) has density proportional to
-(1 - t^2)^((N-3)/2), which in polar-angle form turns every fraction
-into a sin^(N-2) integral weighted by the equator-to-sphere surface
-ratio.
+1/sqrt(2).  The squared distinguished component t^2 of a uniform unit
+vector follows Beta(1/2, (N-1)/2), so each fraction is a regularized
+incomplete beta function: White is I_{1/N}(1/2, (N-1)/2) and Black is
+I_{1/2}((N-1)/2, 1/2).  Both are summed as the positive-term series
+of DLMF 8.17.8, with B(1/2, (N-1)/2) = 1 / surface_ratio(N).
 """
 
 import math
 from dataclasses import dataclass
 
-from .numerics import QuadratureConfig, sin_power_integral, surface_ratio
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, surface_ratio
 
 __all__ = [
     "AreaBreakdown",
@@ -28,6 +28,11 @@ __all__ = [
 # Roundoff allowed above 1 in a fraction; a total beyond it means the
 # white and black regions overlap.
 _RANGE_TOL = 1e-12
+_EPS = math.ulp(1.0)
+# Relative rounding of a series prefactor, in units of _EPS: up to 32
+# from surface_ratio's log-gamma difference (largest near N = 36), and
+# a few for the powers and products around it.
+_PREFACTOR_EPS = 40
 
 
 @dataclass(frozen=True)
@@ -55,12 +60,6 @@ class AreaBreakdown:
         return 1.0 - self.total_fraction
 
 
-def _belt_edge_angle(n_dim: int) -> float:
-    # Polar angle where the belt ends: cos(theta) = 1/sqrt(N).  (The
-    # arcsine of sin(theta) would magnify its rounding by sqrt(N).)
-    return math.acos(1.0 / math.sqrt(n_dim))
-
-
 def _check_dim(n_dim: int) -> None:
     if not isinstance(n_dim, int) or isinstance(n_dim, bool):
         raise ValueError("dimension must be an integer")
@@ -68,31 +67,80 @@ def _check_dim(n_dim: int) -> None:
         raise ValueError("dimension must be at least 3")
 
 
+def _beta_series(x: float, a: float, b: float, prefactor: float, config: QuadratureConfig | None) -> float:
+    """I_x(a, b) = prefactor * sum_n (a+b)_n / (a+1)_n * x^n.
+
+    prefactor is x^a (1-x)^b / (a B(a, b)).  Every term is positive and
+    the term ratio x(a+b+n)/(a+1+n) tends monotonically to x < 1, so
+    all ratios after the last one are at most rho = max(last ratio, x)
+    and the dropped tail is at most term * rho / (1 - rho).  Summing
+    stops once a term falls below eps times the sum.  Each term carries
+    three roundings per step and each addition one, so the sum errs by
+    at most 2n eps relative after n terms.
+
+    Raises QuadratureError when the tail and rounding bound exceeds
+    ``max(abs_tol, rel_tol * value)``.
+    """
+    cfg = config if config is not None else DEFAULT_QUADRATURE
+    total = term = 1.0
+    n = 0
+    while term > _EPS * total:
+        ratio = x * (a + b + n) / (a + 1.0 + n)
+        term *= ratio
+        total += term
+        n += 1
+    rho = max(ratio, x)
+    value = prefactor * total
+    bound = prefactor * (term * rho / (1.0 - rho) + (2 * n + _PREFACTOR_EPS) * _EPS * total)
+    if bound > max(cfg.abs_tol, cfg.rel_tol * value):
+        raise QuadratureError(
+            f"series error bound {bound:.3e} exceeds tolerance "
+            f"max({cfg.abs_tol:.3e}, {cfg.rel_tol:.3e} * {value:.6e})"
+        )
+    return value
+
+
+def _white(n_dim: int, surface: float, config: QuadratureConfig | None) -> float:
+    x = 1.0 / n_dim
+    b = 0.5 * (n_dim - 1)
+    prefactor = 2.0 * math.sqrt(x) * math.exp(b * math.log1p(-x)) * surface
+    return _beta_series(x, 0.5, b, prefactor, config)
+
+
+def _black(n_dim: int, surface: float, config: QuadratureConfig | None) -> float:
+    a = 0.5 * (n_dim - 1)
+    prefactor = 0.5 ** (0.5 * n_dim) * surface / a
+    return _beta_series(0.5, a, 0.5, prefactor, config)
+
+
 def white_fraction(n_dim: int, config: QuadratureConfig | None = None) -> float:
     """Fraction of the sphere's surface strictly inside the white belt.
 
-    2 * (vol(S^(N-2))/vol(S^(N-1))) * integral of sin^(N-2)(theta) for
-    theta from arcsin(sqrt((N-1)/N)) to pi/2: the band where the
-    distinguished |component| stays below 1/sqrt(N).
+    The distinguished |component| stays below 1/sqrt(N):
+    I_{1/N}(1/2, (N-1)/2), summed to within ``config``'s tolerance.
+    Raises QuadratureError when that tolerance is out of reach.
     """
     _check_dim(n_dim)
-    edge = _belt_edge_angle(n_dim)
-    return 2.0 * surface_ratio(n_dim) * sin_power_integral(n_dim - 2, edge, 0.5 * math.pi, config)
+    return _white(n_dim, surface_ratio(n_dim), config)
 
 
 def black_fraction(n_dim: int, config: QuadratureConfig | None = None) -> float:
     """Fraction of the sphere's surface strictly inside the two black caps.
 
-    Each cap spans polar angles [0, pi/4), i.e. distinguished
-    |component| above 1/sqrt(2); both caps together give the factor 2.
+    The distinguished |component| exceeds 1/sqrt(2), so 1 - t^2 stays
+    below 1/2: I_{1/2}((N-1)/2, 1/2), summed to within ``config``'s
+    tolerance.  Raises QuadratureError when that tolerance is out of
+    reach.
     """
     _check_dim(n_dim)
-    return 2.0 * surface_ratio(n_dim) * sin_power_integral(n_dim - 2, 0.0, 0.25 * math.pi, config)
+    return _black(n_dim, surface_ratio(n_dim), config)
 
 
 def total_fraction(n_dim: int, config: QuadratureConfig | None = None) -> AreaBreakdown:
     """White plus Black coverage for one dimension, as an AreaBreakdown."""
-    return AreaBreakdown(n_dim, white_fraction(n_dim, config), black_fraction(n_dim, config))
+    _check_dim(n_dim)
+    surface = surface_ratio(n_dim)
+    return AreaBreakdown(n_dim, _white(n_dim, surface, config), _black(n_dim, surface, config))
 
 
 def scan(n_min: int, n_max: int, config: QuadratureConfig | None = None) -> list[AreaBreakdown]:

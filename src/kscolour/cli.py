@@ -82,8 +82,8 @@ def _pct(x: float) -> str:
 
 
 def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-tol", type=float, default=1e-12, help="quadrature absolute tolerance")
-    p.add_argument("--rel-tol", type=float, default=1e-10, help="quadrature relative tolerance")
+    p.add_argument("--abs-tol", type=float, default=1e-12, help="absolute tolerance the result must meet")
+    p.add_argument("--rel-tol", type=float, default=1e-10, help="relative tolerance the result must meet")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:

@@ -1,13 +1,13 @@
 """Numerical kernels shared by the geometry modules.
 
 Adaptive Gauss-Kronrod quadrature, the sin-power integral and the
-sphere surface ratio that the colouring integrals are written in
-terms of.
+sphere surface ratio that the colouring integrals and area fractions
+are written in terms of.
 """
 
 import heapq
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 __all__ = [
@@ -20,15 +20,20 @@ __all__ = [
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive subdivision failed to reach the requested tolerance."""
+    """A result could not be certified to the requested tolerance.
+
+    Raised when adaptive subdivision runs out, and when the error bound
+    of an area-fraction series exceeds the tolerance.
+    """
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for :func:`integrate`.
+    """Tolerances for :func:`integrate` and the area-fraction series.
 
     The integrator stops once its error estimate drops below
-    ``max(abs_tol, rel_tol * |result|)``.
+    ``max(abs_tol, rel_tol * |result|)``; a series result must have its
+    error bound below the same figure.
     """
 
     abs_tol: float = 1e-12
@@ -101,6 +106,8 @@ def integrate(
     a: float,
     b: float,
     config: QuadratureConfig | None = None,
+    *,
+    breakpoints: Iterable[float] = (),
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` by adaptive bisection of G7/K15 panels.
 
@@ -113,6 +120,10 @@ def integrate(
         Bounds with ``a <= b``.
     config : QuadratureConfig, optional
         Tolerances; defaults to ``DEFAULT_QUADRATURE``.
+    breakpoints : iterable of float, optional
+        Points that split the first partition, for features narrower
+        than one panel over ``[a, b]`` would resolve; those outside the
+        open interval are ignored.
 
     Raises
     ------
@@ -128,11 +139,16 @@ def integrate(
     if a == b:
         return 0.0
 
-    value, err = _panel(f, a, b)
-    total = value
-    total_err = err
-    heap = [(-err, 0, a, b, value, err)]
-    tick = 1
+    edges = [a, *sorted(x for x in breakpoints if a < x < b), b]
+    heap = []
+    total = total_err = 0.0
+    for tick, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        value, err = _panel(f, lo, hi)
+        total += value
+        total_err += err
+        heap.append((-err, tick, lo, hi, value, err))
+    heapq.heapify(heap)
+    tick = len(heap)
     for _ in range(_MAX_SUBDIVISIONS):
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             break
@@ -169,11 +185,13 @@ def sin_power_integral(
     """Integral of sin(t)**p over [a, b] for integer p >= 0, 0 <= a <= b <= pi.
 
     The integrand is evaluated as exp(p * log sin t) so that large
-    powers (polar-cap integrals in dimensions up to 1e7) do not
-    underflow pairwise products.  Within pi/4 of the peak at pi/2,
-    log sin t is taken as log(cos u) = log1p(-2 sin^2(u/2)) with
-    u = pi/2 - t: the log of a rounded sine errs by eps there, which p
-    multiplies.
+    powers do not underflow pairwise products.  Within pi/4 of the peak
+    at pi/2, log sin t is taken as log(cos u) = log1p(-2 sin^2(u/2))
+    with u = pi/2 - t: the log of a rounded sine errs by eps there,
+    which p multiplies.  The peak is about w = 1/sqrt(p) wide, so the
+    first partition is split at pi/2 and at pi/2 +/- 2^k w out to pi/2;
+    a split closer than w to an end of [a, b] is left out, since the
+    panel it would cut off would be narrower than the peak.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError("power p must be an integer")
@@ -195,7 +213,14 @@ def sin_power_integral(
             return 0.0
         return math.exp(p * math.log(s))
 
-    return integrate(integrand, a, b, config)
+    width = 1.0 / math.sqrt(p)
+    splits = [half_pi]
+    offset = width
+    while offset < half_pi:
+        splits += (half_pi - offset, half_pi + offset)
+        offset *= 2.0
+    seeds = [x for x in splits if a + width < x < b - width]
+    return integrate(integrand, a, b, config, breakpoints=seeds)
 
 
 def surface_ratio(n_dim: int) -> float:

@@ -1,13 +1,24 @@
 """Test-only helpers on top of the colouring and Monte Carlo layers.
 
-The library has no use for these; the distribution, determinism and
-whole-basis checks do.
+The library has no use for these; the quadrature route to the area
+fractions and the distribution, determinism and whole-basis checks do.
 """
+
+import math
 
 import numpy as np
 
 from kscolour import montecarlo
 from kscolour.colouring import Colour, ColouringParams, OrthonormalBasis, UnitVector, classify_basis
+
+
+def belt_edge_angle(n_dim: int) -> float:
+    """Polar angle where the White belt ends: cos(theta) = 1/sqrt(N).
+
+    The arcsine of sin(theta) = sqrt((N-1)/N) would magnify its
+    rounding by sqrt(N).
+    """
+    return math.acos(1.0 / math.sqrt(n_dim))
 
 
 def sample_unit_vector(dim: int, rng: np.random.Generator) -> UnitVector:

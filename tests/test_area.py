@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from helpers import belt_edge_angle
 
 from kscolour.area import (
     AreaBreakdown,
@@ -12,6 +13,7 @@ from kscolour.area import (
     total_fraction,
     white_fraction,
 )
+from kscolour.numerics import QuadratureConfig, QuadratureError, sin_power_integral, surface_ratio
 
 
 def sin_power_exact(p: int, a: float, b: float) -> float:
@@ -222,3 +224,37 @@ def test_fractions_match_betainc_within_requested_tolerance():
         ):
             worst = max(worst, abs(got - ref) / max(1e-12, 1e-10 * abs(ref)))
     assert worst <= 1.0, f"worst error is {worst:.3g} of the requested abs 1e-12 / rel 1e-10"
+
+
+def test_fractions_match_betainc_strictly():
+    # Where both shares are normal doubles they hold to a few ulps, far
+    # inside what the default abs 1e-12 floor would allow for the small
+    # Black shares (Black(400) is 5.0e-62).
+    special = pytest.importorskip("scipy.special")
+    for n_dim in range(3, 401):
+        b = 0.5 * (n_dim - 1)
+        assert white_fraction(n_dim) == pytest.approx(float(special.betainc(0.5, b, 1.0 / n_dim)), rel=1e-13, abs=0.0)
+        assert black_fraction(n_dim) == pytest.approx(float(special.betaincc(0.5, b, 0.5)), rel=1e-13, abs=0.0)
+
+
+def test_fractions_match_quadrature_route():
+    # Adaptive quadrature stays an independent route: the polar-angle
+    # form 2 * surface_ratio(N) * integral of sin^(N-2), from the belt
+    # edge to pi/2 for White and over [0, pi/4] for Black.
+    for n_dim in _oracle_dims():
+        quad = 2.0 * surface_ratio(n_dim)
+        white = quad * sin_power_integral(n_dim - 2, belt_edge_angle(n_dim), 0.5 * math.pi)
+        black = quad * sin_power_integral(n_dim - 2, 0.0, 0.25 * math.pi)
+        assert white_fraction(n_dim) == pytest.approx(white, abs=1e-12, rel=1e-10)
+        assert black_fraction(n_dim) == pytest.approx(black, abs=1e-12, rel=1e-10)
+
+
+def test_unreachable_tolerance_raises():
+    # The series' rounding bound is tens of eps of the value, so these
+    # tolerances cannot be certified.
+    unreachable = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
+    for fn in (total_fraction, white_fraction, black_fraction):
+        with pytest.raises(QuadratureError):
+            fn(3, unreachable)
+    with pytest.raises(QuadratureError):
+        scan(3, 5, unreachable)

@@ -22,6 +22,9 @@ H3 = 1.0 / math.sqrt(3.0)
 # R^4 basis is fully coloured.
 PRESCRIPTION_4D = 2.0 / 3.0 + (4.0 + 2.0 * math.sqrt(3.0) - 6.0 * math.sqrt(2.0)) / math.pi
 HAAR_4D = (8.0 + 6.0 * math.sqrt(3.0) - 12.0 * math.sqrt(2.0)) / math.pi
+# The R^3 raw integral in closed form: 8 * arcsin(h / sqrt(1 - u^2)),
+# u = cos(theta), integrated by parts.
+RAW_3D = 4.0 * math.pi / (3.0 * math.sqrt(3.0)) + math.sqrt(2.0) * math.pi - 4.0 * math.sqrt(2.0) * math.atan(math.sqrt(2.0))
 
 # Endpoint references computed independently (plain trigonometry).
 ARC_AT_EQUATOR = 2.0 * math.asin(H3)            # 1.2309594173407747
@@ -102,6 +105,15 @@ def test_basis_fraction_3d_value():
     r = basis_fraction_3d()
     assert r.raw_integral == pytest.approx(1.4571952196223377, abs=1e-9)
     assert r.fraction == pytest.approx(0.6957594667583252, abs=1e-9)
+
+
+def test_basis_fraction_3d_matches_closed_form():
+    # A quadrature-free oracle for criterion 05.
+    assert RAW_3D == pytest.approx(1.457195219622336, abs=1e-15)
+    r = basis_fraction_3d()
+    assert r.raw_integral == pytest.approx(RAW_3D, abs=1e-12)
+    assert r.fraction == pytest.approx(3.0 * RAW_3D / (2.0 * math.pi), abs=1e-12)
+    assert 3.0 * RAW_3D / (2.0 * math.pi) == pytest.approx(0.6957594667583245, abs=1e-15)
 
 
 def test_basis_fraction_3d_all_white_band_closed_form():

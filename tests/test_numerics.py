@@ -1,10 +1,10 @@
 import math
 
 import pytest
+from helpers import belt_edge_angle
 from hypothesis import given, strategies as st
 
 from kscolour import numerics
-from kscolour.area import _belt_edge_angle
 from kscolour.numerics import (
     QuadratureConfig,
     QuadratureError,
@@ -146,6 +146,11 @@ def test_sin_power_large_exponent_stays_finite():
     assert 0.0 < val < math.pi / 2.0
 
 
+def _wallis(mpmath, p):
+    # Integral of sin^p over [0, pi/2].
+    return mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(p + 1) / 2) / (2 * mpmath.gamma(mpmath.mpf(p) / 2 + 1))
+
+
 def test_sin_power_large_exponent_keeps_relative_precision():
     # Over the peak at pi/2 (12 widths of it; the rest is below e^-72)
     # the integral is Wallis's sqrt(pi) Gamma((p+1)/2) / (2 Gamma(p/2+1)).
@@ -153,9 +158,45 @@ def test_sin_power_large_exponent_keeps_relative_precision():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         for p in (10**6 - 1, 10**6, 10**7 - 7, 10**7 - 3, 10**7, 10**7 + 5):
-            ref = mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(p + 1) / 2) / (2 * mpmath.gamma(mpmath.mpf(p) / 2 + 1))
             got = sin_power_integral(p, 0.5 * math.pi - 12.0 / math.sqrt(p), 0.5 * math.pi)
-            assert got == pytest.approx(float(ref), rel=2e-12, abs=0.0)
+            assert got == pytest.approx(float(_wallis(mpmath, p)), rel=2e-12, abs=0.0)
+
+
+def test_sin_power_wallis_over_wide_intervals():
+    # The peak at pi/2 is about 1/sqrt(p) wide: a first panel over
+    # [0, pi/2] whose nodes all miss it would report a tiny integral
+    # with a tiny error estimate.  The absolute tolerance is set out of
+    # the way so that rel 1e-10 is what is asked for.
+    mpmath = pytest.importorskip("mpmath")
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10)
+    with mpmath.workdps(30):
+        for p in (10**3, 10**4, 10**5, 10**6, 3 * 10**6, 10**7):
+            half = float(_wallis(mpmath, p))
+            assert sin_power_integral(p, 0.0, 0.5 * math.pi, cfg) == pytest.approx(half, rel=1e-10, abs=0.0)
+            assert sin_power_integral(p, 0.0, math.pi, cfg) == pytest.approx(2.0 * half, rel=1e-10, abs=0.0)
+
+
+def test_sin_power_asymmetric_intervals_around_the_peak():
+    # mpmath's tanh-sinh rule at 30 digits, on pieces one peak width
+    # long out to 40 widths from pi/2 (beyond, sin^p is below e^-800
+    # of the peak).
+    mpmath = pytest.importorskip("mpmath")
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10)
+    with mpmath.workdps(30):
+        for p in (10**3, 10**5, 3 * 10**6, 10**7):
+            w = 1.0 / math.sqrt(p)
+            for a, b in (
+                (0.3, 0.5 * math.pi + 0.5 * w),
+                (0.5 * math.pi - 0.25 * w, 3.0),
+                (0.5 * math.pi - 7.0 * w, 0.5 * math.pi + 2.5 * w),
+                (0.0, 0.5 * math.pi - 3.0 * w),
+                (0.5 * math.pi + 1.5 * w, math.pi),
+                (1.0, 0.5 * math.pi + 40.0 * w),
+            ):
+                pieces = [a, *(x for k in range(-40, 41) if a < (x := 0.5 * math.pi + k * w) < b), b]
+                ref = float(mpmath.quad(lambda t: mpmath.sin(t) ** p, pieces))
+                got = sin_power_integral(p, a, b, cfg)
+                assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (p, a, b)
 
 
 def test_surface_ratio_small_dimensions():
@@ -200,7 +241,7 @@ def test_simplex_circumradius_monotone_to_one():
     # sin of the belt edge in dimension n + 1 is the n-simplex
     # circumradius sqrt(n/(n+1)): it rises towards 1, so the belt narrows
     # towards the equator as N grows.
-    values = [math.sin(_belt_edge_angle(n + 1)) for n in range(1, 60)]
+    values = [math.sin(belt_edge_angle(n + 1)) for n in range(1, 60)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] < 1.0
 
@@ -209,7 +250,7 @@ def test_simplex_circumradius_complements_belt_bound():
     # The belt edge sits where sin(theta) is the (N-1)-simplex
     # circumradius sqrt((N-1)/N), so cos(theta) = 1/sqrt(N).
     for n_dim in (3, 4, 7, 25):
-        assert math.cos(_belt_edge_angle(n_dim)) == pytest.approx(1.0 / math.sqrt(n_dim), abs=1e-12)
+        assert math.cos(belt_edge_angle(n_dim)) == pytest.approx(1.0 / math.sqrt(n_dim), abs=1e-12)
 
 
 def test_erf_against_direct_quadrature():
