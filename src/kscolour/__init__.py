@@ -24,23 +24,8 @@ from .area import (
     total_fraction,
     white_fraction,
 )
-from .bases import (
-    BasisFractionResult,
-    WholeCircleWhiteError,
-    basis_fraction_3d,
-    basis_fraction_4d,
-    belt_radius_4d,
-    orthosphere_white_integral,
-    white_arc_angle,
-    white_pair_angle,
-)
-from .numerics import (
-    QuadratureConfig,
-    QuadratureError,
-    integrate,
-    sin_power_integral,
-    surface_ratio,
-)
+from .bases import BasisFractionResult, basis_fraction_3d, basis_fraction_4d
+from .numerics import QuadratureConfig, QuadratureError, surface_ratio
 
 __all__ = [
     "__version__",
@@ -54,30 +39,23 @@ __all__ = [
     "QuadratureError",
     "UnitVector",
     "ViolationReport",
-    "WholeCircleWhiteError",
     "argmin_total",
     "asymptotic_limit",
     "basis_fraction_3d",
     "basis_fraction_4d",
-    "belt_radius_4d",
     "black_fraction",
     "classify_basis",
     "colour_of",
     "estimate_basis_fraction",
     "estimate_vector_fractions",
-    "integrate",
     "ks_satisfied",
     "limit_series",
-    "orthosphere_white_integral",
     "sample_basis",
     "scan",
-    "sin_power_integral",
     "surface_ratio",
     "total_fraction",
     "verify_constraints",
-    "white_arc_angle",
     "white_fraction",
-    "white_pair_angle",
 ]
 
 

@@ -12,7 +12,7 @@ of DLMF 8.17.8, with B(1/2, (N-1)/2) = 1 / surface_ratio(N).
 import math
 from dataclasses import dataclass
 
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, surface_ratio
+from .numerics import QuadratureConfig, certify, surface_ratio
 
 __all__ = [
     "AreaBreakdown",
@@ -29,10 +29,11 @@ __all__ = [
 # white and black regions overlap.
 _RANGE_TOL = 1e-12
 _EPS = math.ulp(1.0)
-# Relative rounding of a series prefactor, in units of _EPS: up to 32
-# from surface_ratio's log-gamma difference (largest near N = 36), and
-# a few for the powers and products around it.
-_PREFACTOR_EPS = 40
+# Relative rounding of a series prefactor, in units of _EPS: up to 2.2
+# from surface_ratio (largest at N = 51), and a few for the powers and
+# products around it.  Against mpmath the whole prefactor errs by at
+# most 2.5 eps over N = 3..2000 and near each power of ten up to 1e7.
+_PREFACTOR_EPS = 8
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,8 @@ def _beta_series(x: float, a: float, b: float, prefactor: float, config: Quadrat
     at most 2n eps relative after n terms.
 
     Raises QuadratureError when the tail and rounding bound exceeds
-    ``max(abs_tol, rel_tol * value)``.
+    ``config``'s tolerance (see ``numerics.certify``).
     """
-    cfg = config if config is not None else DEFAULT_QUADRATURE
     total = term = 1.0
     n = 0
     while term > _EPS * total:
@@ -90,14 +90,8 @@ def _beta_series(x: float, a: float, b: float, prefactor: float, config: Quadrat
         total += term
         n += 1
     rho = max(ratio, x)
-    value = prefactor * total
     bound = prefactor * (term * rho / (1.0 - rho) + (2 * n + _PREFACTOR_EPS) * _EPS * total)
-    if bound > max(cfg.abs_tol, cfg.rel_tol * value):
-        raise QuadratureError(
-            f"series error bound {bound:.3e} exceeds tolerance "
-            f"max({cfg.abs_tol:.3e}, {cfg.rel_tol:.3e} * {value:.6e})"
-        )
-    return value
+    return certify(prefactor * total, bound, config)
 
 
 def _white(n_dim: int, surface: float, config: QuadratureConfig | None) -> float:

@@ -5,7 +5,7 @@ Subcommands
 area    coloured-area fractions for one dimension
 scan    fractions over a dimension range, optionally to CSV
 limit   large-dimension limit and its alternating-series check
-basis   fully-coloured-basis fraction by quadrature or Monte Carlo
+basis   fully-coloured-basis fraction in closed form or by Monte Carlo
 verify  constraint check over Haar-random bases
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure,
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("quadrature", "montecarlo"),
         default="quadrature",
-        help="quadrature prescription (dims 3 and 4) or Monte Carlo sampling",
+        help="closed form of the prescription (dims 3 and 4) or Monte Carlo sampling",
     )
     p_basis.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo sample count")
     p_basis.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (64-bit unsigned)")

@@ -1,7 +1,7 @@
 import hypothesis
 
-# Deterministic, deadline-free profile: the integrands are cheap but
-# adaptive quadrature inside a property can outrun the default 200ms.
+# Deterministic, deadline-free profile: a property that samples with
+# numpy can outrun the default 200ms on a busy host.
 hypothesis.settings.register_profile(
     "kscolour",
     deadline=None,

@@ -1,12 +1,15 @@
 """Test-only helpers on top of the colouring and Monte Carlo layers.
 
-The library has no use for these; the quadrature route to the area
-fractions and the distribution, determinism and whole-basis checks do.
+The library has no use for these; the quadrature routes to the area
+and basis fractions and the distribution, determinism and whole-basis
+checks do.
 """
 
 import math
+import warnings
 
 import numpy as np
+import pytest
 
 from kscolour import montecarlo
 from kscolour.colouring import Colour, ColouringParams, OrthonormalBasis, UnitVector, classify_basis
@@ -19,6 +22,22 @@ def belt_edge_angle(n_dim: int) -> float:
     rounding by sqrt(N).
     """
     return math.acos(1.0 / math.sqrt(n_dim))
+
+
+def quad(f, a: float, b: float, epsabs: float = 1e-14) -> float:
+    """Integral of ``f`` over [a, b] by scipy's adaptive quadrature.
+
+    The suite's quadrature route, independent of the library's closed
+    forms and series.  Asks for max(epsabs, 1e-13 * |integral|) and
+    turns scipy's warning that this was not reached into an error;
+    epsabs = 0 keeps the digits of tiny integrals.  Skips the calling
+    test when scipy is missing.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        value, _ = integrate.quad(f, a, b, epsabs=epsabs, epsrel=1e-13, limit=200)
+    return value
 
 
 def sample_unit_vector(dim: int, rng: np.random.Generator) -> UnitVector:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from helpers import belt_edge_angle
+from helpers import belt_edge_angle, quad
 
 from kscolour.area import (
     AreaBreakdown,
@@ -13,7 +13,8 @@ from kscolour.area import (
     total_fraction,
     white_fraction,
 )
-from kscolour.numerics import QuadratureConfig, QuadratureError, sin_power_integral, surface_ratio
+from kscolour.bases import basis_fraction_3d, basis_fraction_4d
+from kscolour.numerics import QuadratureConfig, QuadratureError, surface_ratio
 
 
 def sin_power_exact(p: int, a: float, b: float) -> float:
@@ -240,21 +241,30 @@ def test_fractions_match_betainc_strictly():
 def test_fractions_match_quadrature_route():
     # Adaptive quadrature stays an independent route: the polar-angle
     # form 2 * surface_ratio(N) * integral of sin^(N-2), from the belt
-    # edge to pi/2 for White and over [0, pi/4] for Black.
-    for n_dim in _oracle_dims():
-        quad = 2.0 * surface_ratio(n_dim)
-        white = quad * sin_power_integral(n_dim - 2, belt_edge_angle(n_dim), 0.5 * math.pi)
-        black = quad * sin_power_integral(n_dim - 2, 0.0, 0.25 * math.pi)
-        assert white_fraction(n_dim) == pytest.approx(white, abs=1e-12, rel=1e-10)
-        assert black_fraction(n_dim) == pytest.approx(black, abs=1e-12, rel=1e-10)
+    # edge to pi/2 for White and over [0, pi/4] for Black.  Above
+    # N = 400 the betainc tests carry on up to 1e7.
+    for n_dim in range(3, 401):
+
+        def sin_power(t, p=n_dim - 2):
+            return math.sin(t) ** p
+
+        weight = 2.0 * surface_ratio(n_dim)
+        white = weight * quad(sin_power, belt_edge_angle(n_dim), 0.5 * math.pi, epsabs=0.0)
+        black = weight * quad(sin_power, 0.0, 0.25 * math.pi, epsabs=0.0)
+        assert white_fraction(n_dim) == pytest.approx(white, rel=1e-12, abs=0.0)
+        assert black_fraction(n_dim) == pytest.approx(black, rel=1e-12, abs=0.0)
 
 
 def test_unreachable_tolerance_raises():
-    # The series' rounding bound is tens of eps of the value, so these
-    # tolerances cannot be certified.
+    # The series' rounding bound is tens of eps of the value, and so is
+    # that of the basis closed forms, so these tolerances cannot be
+    # certified.
     unreachable = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     for fn in (total_fraction, white_fraction, black_fraction):
         with pytest.raises(QuadratureError):
             fn(3, unreachable)
     with pytest.raises(QuadratureError):
         scan(3, 5, unreachable)
+    for fn in (basis_fraction_3d, basis_fraction_4d):
+        with pytest.raises(QuadratureError):
+            fn(unreachable)

@@ -2,20 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from helpers import quad
 
-from kscolour.bases import (
-    BasisFractionResult,
-    WholeCircleWhiteError,
-    basis_fraction_3d,
-    basis_fraction_4d,
-    belt_radius_4d,
-    orthosphere_white_integral,
-    white_arc_angle,
-    white_pair_angle,
-)
+from kscolour.bases import BasisFractionResult, basis_fraction_3d, basis_fraction_4d
 from kscolour.colouring import ColouringParams, colour_masks
-from kscolour.numerics import QuadratureConfig, integrate, sin_power_integral
+from kscolour.numerics import QuadratureConfig
 
 H3 = 1.0 / math.sqrt(3.0)
 # The R^4 prescription in closed form, and the Haar probability that an
@@ -31,6 +22,71 @@ ARC_AT_EQUATOR = 2.0 * math.asin(H3)            # 1.2309594173407747
 ARC_AT_CAP_EDGE = 2.0 * math.asin(math.sqrt(2.0 / 3.0))  # 1.9106332362490186
 
 
+# The reductions behind the closed forms, written as the integrands of
+# the quadrature routes that check them.
+
+
+def white_arc_angle(theta: float, h: float) -> float:
+    """Width of one White arc of the circle orthogonal to a vector at theta.
+
+    2 * arcsin(h / sin(theta)).  The circle carries two such arcs,
+    centred a half-turn apart, and is entirely White (two arcs of pi)
+    once sin(theta) <= h.
+    """
+    return 2.0 * math.asin(min(h / math.sin(theta), 1.0))
+
+
+def white_pair_angle(theta: float, h: float) -> float:
+    """Arc measure of positions whose quarter-turn partner is also White.
+
+    4 * white_arc_angle(theta, h) - 2*pi; negative once the arcs are
+    too narrow for any position to work.
+    """
+    return 4.0 * white_arc_angle(theta, h) - 2.0 * math.pi
+
+
+def belt_radius_4d(theta2: float) -> float:
+    """Whiteness bound B = 1/(2 sin(theta2)) on the orthogonal 2-sphere.
+
+    A point of the 2-sphere orthogonal to a vector at polar angle theta2
+    is White iff |cos(theta1)| < B; from B = 1 on, all of it is White.
+    """
+    return 0.5 / math.sin(theta2)
+
+
+def orthosphere_white_integral(theta2: float) -> float:
+    """Weighted White-completion measure over the 2-sphere orthogonal to
+    a vector at polar angle theta2, by quadrature.
+
+    Weight 2*pi where the whole next circle is White, the paired-White
+    arc measure beyond arcsin(min(B, 1)), each times sin(theta1).
+    """
+    cap = belt_radius_4d(theta2)
+    b = min(cap, 1.0)
+    lo = math.acos(b)
+    hi = math.asin(b)
+    total = 0.0
+    if lo < hi:
+        total += 2.0 * math.pi * quad(math.sin, lo, hi)
+    if hi < 0.5 * math.pi:
+        total += quad(lambda t: white_pair_angle(t, cap) * math.sin(t), hi, 0.5 * math.pi)
+    return total
+
+
+def orthosphere_closed_form(theta2: float) -> float:
+    """The same inner integral in closed form, as the bases module derives it.
+
+    With B = belt_radius_4d(theta2) and c = sqrt(1 - B^2), it is
+    2*pi*(max(0, B - c) + c + 2*B - 2) for B < 1, and the whole
+    2-sphere, 2*pi, from B = 1 on.
+    """
+    cap = belt_radius_4d(theta2)
+    if cap >= 1.0:
+        return 2.0 * math.pi
+    c = math.sqrt(1.0 - cap * cap)
+    return 2.0 * math.pi * (max(0.0, cap - c) + c + 2.0 * cap - 2.0)
+
+
 def test_white_arc_angle_at_equator():
     assert white_arc_angle(math.pi / 2.0, H3) == pytest.approx(ARC_AT_EQUATOR, abs=1e-14)
 
@@ -42,33 +98,6 @@ def test_white_arc_angle_at_belt_edge_is_full_half():
 
 def test_white_arc_angle_at_cap_edge():
     assert white_arc_angle(math.pi / 4.0, H3) == pytest.approx(ARC_AT_CAP_EDGE, abs=1e-14)
-
-
-def test_white_arc_angle_below_edge_raises():
-    with pytest.raises(WholeCircleWhiteError):
-        white_arc_angle(math.asin(H3) - 1e-6, H3)
-
-
-def test_white_arc_angle_validation():
-    with pytest.raises(ValueError):
-        white_arc_angle(0.0, H3)
-    with pytest.raises(ValueError):
-        white_arc_angle(2.0, H3)  # beyond pi/2
-    with pytest.raises(ValueError):
-        white_arc_angle(1.0, 1.5)
-    with pytest.raises(ValueError):
-        white_arc_angle(1.0, 0.0)
-
-
-@given(
-    h=st.sampled_from([0.3, 0.45, H3, 0.7]),
-    frac=st.floats(1e-9, 1.0),
-)
-def test_white_pair_angle_identity(h, frac):
-    lo = math.asin(h)
-    theta = lo + frac * (math.pi / 2.0 - lo)
-    alpha = white_arc_angle(theta, h)
-    assert white_pair_angle(theta, h) == pytest.approx(4.0 * alpha - 2.0 * math.pi, abs=1e-14)
 
 
 def test_white_pair_angle_against_grid_overlap():
@@ -120,10 +149,19 @@ def test_basis_fraction_3d_all_white_band_closed_form():
     # Below arcsin(1/sqrt(3)) the whole orthogonal circle is white;
     # that band alone contributes 2*pi*(1 - sqrt(2/3)).
     split = math.asin(H3)
-    band = 2.0 * math.pi * sin_power_integral(1, 0.0, split)
+    band = 2.0 * math.pi * quad(math.sin, 0.0, split)
     assert band == pytest.approx(2.0 * math.pi * (1.0 - math.sqrt(2.0 / 3.0)), abs=1e-12)
     r = basis_fraction_3d()
     assert r.raw_integral - band == pytest.approx(0.3042092330902069, abs=1e-9)
+
+
+def test_basis_fraction_3d_matches_quadrature_route():
+    # The whole orthogonal circle up to arcsin(h), the paired-White
+    # measure from there to pi/4, both weighted by sin(theta).
+    split = math.asin(H3)
+    band = 2.0 * math.pi * quad(math.sin, 0.0, split)
+    paired = quad(lambda t: white_pair_angle(t, H3) * math.sin(t), split, 0.25 * math.pi)
+    assert basis_fraction_3d().raw_integral == pytest.approx(band + paired, abs=1e-12)
 
 
 def test_basis_fraction_3d_stable_under_tighter_tolerances():
@@ -147,46 +185,13 @@ def test_belt_radius_4d_values():
     assert belt_radius_4d(math.pi / 2.0) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_belt_radius_4d_validation():
-    for bad in (0.0, -0.5, math.pi / 2.0 + 0.1):
-        with pytest.raises(ValueError):
-            belt_radius_4d(bad)
-
-
-def nested_orthosphere_white_integral(theta2: float) -> float:
-    """Quadrature oracle for orthosphere_white_integral.
-
-    Integrates the two bands over theta1 directly: weight 2*pi where
-    the whole next circle is White, the paired-White arc measure
-    8*arcsin(B/sin theta1) - 2*pi beyond arcsin(min(B, 1)).
-    """
-    config = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
-    cap = belt_radius_4d(theta2)
-    b = min(cap, 1.0)
-    lo = math.acos(b)
-    hi = math.asin(b)
-    total = 0.0
-    if lo < hi:
-        total += 2.0 * math.pi * integrate(math.sin, lo, hi, config)
-    if hi < 0.5 * math.pi:
-
-        def integrand(theta1: float) -> float:
-            ratio = min(cap / math.sin(theta1), 1.0)
-            return (8.0 * math.asin(ratio) - 2.0 * math.pi) * math.sin(theta1)
-
-        total += integrate(integrand, hi, 0.5 * math.pi, config)
-    return total
-
-
 @pytest.mark.parametrize(
     "theta2",
     # B >= 1; 1/sqrt(2) <= B < 1; B < 1/sqrt(2) (from pi/4 on).
     [0.2, math.pi / 6.0 - 1e-9, math.pi / 6.0 + 1e-9, 0.53, 0.7, math.pi / 4.0, 0.8, 1.0, 1.3, math.pi / 2.0],
 )
 def test_orthosphere_closed_form_matches_nested_quadrature(theta2):
-    assert orthosphere_white_integral(theta2) == pytest.approx(
-        nested_orthosphere_white_integral(theta2), abs=1e-11
-    )
+    assert orthosphere_closed_form(theta2) == pytest.approx(orthosphere_white_integral(theta2), abs=1e-11)
 
 
 def test_orthosphere_integral_all_white_regime():
@@ -211,7 +216,7 @@ def test_outer_first_term_weight_is_double_the_boundary_value():
     # band's edge; the factor-2 step is a deliberate part of the
     # prescription and is what separates it from the sampled fraction.
     split = math.asin(0.5)
-    band = 4.0 * math.pi * sin_power_integral(2, 0.0, split)
+    band = 4.0 * math.pi * quad(lambda t: math.sin(t) ** 2, 0.0, split)
     assert band == pytest.approx(4.0 * math.pi * (math.pi / 12.0 - math.sqrt(3.0) / 8.0), abs=1e-12)
     edge_value = orthosphere_white_integral(math.pi / 6.0 + 1e-12)
     assert 4.0 * math.pi == pytest.approx(2.0 * edge_value, rel=1e-6)
@@ -223,9 +228,33 @@ def test_basis_fraction_4d_structure_and_value():
     assert r.normalizer == pytest.approx(math.pi**2, abs=1e-15)
     assert r.combinatorial_factor == 4
     assert r.fraction == pytest.approx(PRESCRIPTION_4D, abs=1e-12)
-    split = math.asin(0.5)
-    band = 4.0 * math.pi * sin_power_integral(2, 0.0, split)
+    band = 4.0 * math.pi * (math.pi / 12.0 - math.sqrt(3.0) / 8.0)
     assert r.raw_integral - band == pytest.approx(0.2737322722066709, abs=1e-8)
+
+
+def test_basis_fraction_4d_matches_two_level_quadrature():
+    # The whole prescription with no closed form: the all-White band
+    # weighed with 4*pi up to arcsin(1/2), then the inner integral over
+    # the orthogonal 2-sphere, itself by quadrature, up to pi/4; both
+    # weighted by sin^2(theta2).
+    split = math.asin(0.5)
+    band = 4.0 * math.pi * quad(lambda t: math.sin(t) ** 2, 0.0, split)
+    mixed = quad(lambda t: orthosphere_white_integral(t) * math.sin(t) ** 2, split, 0.25 * math.pi)
+    r = basis_fraction_4d()
+    assert r.raw_integral == pytest.approx(band + mixed, abs=1e-12)
+    assert r.fraction == pytest.approx(4.0 * (band + mixed) / math.pi**2, abs=1e-12)
+
+
+def test_basis_closed_forms_against_mpmath():
+    # Within a few eps of their 40-digit values, well inside the
+    # rounding bound that the closed forms certify.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        pi, root2, root3 = mpmath.pi, mpmath.sqrt(2), mpmath.sqrt(3)
+        raw_3d = 4 * pi / (3 * root3) + root2 * pi - 4 * root2 * mpmath.atan(root2)
+        raw_4d = pi**2 / 6 + pi + root3 / 2 * pi - 3 * root2 / 2 * pi
+        for got, ref in ((basis_fraction_3d().raw_integral, raw_3d), (basis_fraction_4d().raw_integral, raw_4d)):
+            assert got == pytest.approx(float(ref), rel=16.0 * math.ulp(1.0), abs=0.0)
 
 
 def test_doubling_the_mixed_term_gives_the_haar_value_4d():

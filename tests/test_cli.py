@@ -251,7 +251,7 @@ def test_unreachable_tolerance_is_numerical_failure():
 
 
 def test_basis_4d_unreachable_tolerance_is_numerical_failure(capsys):
-    # The requested tolerances reach the 4D quadrature unchanged, so one
+    # The requested tolerances reach the 4D closed form unchanged, so one
     # below what doubles resolve fails there as it does in dimension 3.
     assert main(["basis", "--dim", "4", "--abs-tol", "1e-16", "--rel-tol", "1e-16"]) == 2
     assert "numerical failure" in capsys.readouterr().err
@@ -264,8 +264,9 @@ def test_basis_4d_unreachable_tolerance_is_numerical_failure(capsys):
         (["--dim", "3", "--method", "montecarlo", "--samples", "0"], 1),
         (["--dim", "3", "--method", "montecarlo", "--samples", "10", "--seed", "-1"], 1),
         (["--dim", "4", "--abs-tol", "1e-16", "--rel-tol", "1e-16"], 2),
+        (["--dim", "3", "--abs-tol", "1e-16", "--rel-tol", "1e-16"], 2),
     ],
-    ids=["quadrature_dim5", "zero_samples", "negative_seed", "unreachable_tolerance"],
+    ids=["quadrature_dim5", "zero_samples", "negative_seed", "unreachable_tolerance", "unreachable_tolerance_3d"],
 )
 def test_basis_failure_leaves_stdout_empty(args, code, capsys):
     assert main(["basis", *args]) == code
