@@ -12,7 +12,7 @@ of DLMF 8.17.8, with B(1/2, (N-1)/2) = 1 / surface_ratio(N).
 import math
 from dataclasses import dataclass
 
-from .numerics import QuadratureConfig, certify, surface_ratio
+from .numerics import QuadratureConfig, certify, check_dimension, surface_ratio
 
 __all__ = [
     "AreaBreakdown",
@@ -45,8 +45,7 @@ class AreaBreakdown:
     black_fraction: float
 
     def __post_init__(self) -> None:
-        if self.dim < 3:
-            raise ValueError("dim must be at least 3")
+        check_dimension(self.dim)
         for name in ("white_fraction", "black_fraction", "total_fraction"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0 + _RANGE_TOL):
@@ -59,13 +58,6 @@ class AreaBreakdown:
     @property
     def uncoloured_fraction(self) -> float:
         return 1.0 - self.total_fraction
-
-
-def _check_dim(n_dim: int) -> None:
-    if not isinstance(n_dim, int) or isinstance(n_dim, bool):
-        raise ValueError("dimension must be an integer")
-    if n_dim < 3:
-        raise ValueError("dimension must be at least 3")
 
 
 def _beta_series(x: float, a: float, b: float, prefactor: float, config: QuadratureConfig | None) -> float:
@@ -114,7 +106,7 @@ def white_fraction(n_dim: int, config: QuadratureConfig | None = None) -> float:
     I_{1/N}(1/2, (N-1)/2), summed to within ``config``'s tolerance.
     Raises QuadratureError when that tolerance is out of reach.
     """
-    _check_dim(n_dim)
+    check_dimension(n_dim)
     return _white(n_dim, surface_ratio(n_dim), config)
 
 
@@ -126,20 +118,20 @@ def black_fraction(n_dim: int, config: QuadratureConfig | None = None) -> float:
     tolerance.  Raises QuadratureError when that tolerance is out of
     reach.
     """
-    _check_dim(n_dim)
+    check_dimension(n_dim)
     return _black(n_dim, surface_ratio(n_dim), config)
 
 
 def total_fraction(n_dim: int, config: QuadratureConfig | None = None) -> AreaBreakdown:
     """White plus Black coverage for one dimension, as an AreaBreakdown."""
-    _check_dim(n_dim)
+    check_dimension(n_dim)
     surface = surface_ratio(n_dim)
     return AreaBreakdown(n_dim, _white(n_dim, surface, config), _black(n_dim, surface, config))
 
 
 def scan(n_min: int, n_max: int, config: QuadratureConfig | None = None) -> list[AreaBreakdown]:
     """AreaBreakdown rows for every dimension in [n_min, n_max]."""
-    _check_dim(n_min)
+    check_dimension(n_min)
     if not isinstance(n_max, int) or isinstance(n_max, bool):
         raise ValueError("dimension must be an integer")
     if n_max < n_min:

@@ -43,7 +43,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .numerics import QuadratureConfig, certify
+from .numerics import QuadratureConfig, certify, check_dimension
 
 __all__ = [
     "BasisFractionResult",
@@ -69,8 +69,7 @@ class BasisFractionResult:
     normalizer: float
 
     def __post_init__(self) -> None:
-        if self.dim < 3:
-            raise ValueError("dim must be at least 3")
+        check_dimension(self.dim)
         if self.normalizer <= 0.0:
             raise ValueError("normalizer must be positive")
         if not (0.0 <= self.fraction <= 1.0 + _RANGE_TOL):

@@ -15,6 +15,8 @@ from enum import Enum
 
 import numpy as np
 
+from .numerics import check_dimension
+
 __all__ = [
     "Colour",
     "ColouringParams",
@@ -72,10 +74,7 @@ class ColouringParams:
     axis_index: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
-            raise ValueError("dim must be an integer")
-        if self.dim < 3:
-            raise ValueError("dim must be at least 3")
+        check_dimension(self.dim)
         if self.white_bound is None:
             object.__setattr__(self, "white_bound", 1.0 / math.sqrt(self.dim))
         if self.axis_index is None:
@@ -108,9 +107,13 @@ class UnitVector:
             raise ValueError("components must be one-dimensional")
         if arr.shape[0] < 1:
             raise ValueError("components must be non-empty")
-        if not np.isfinite(arr).all():
+        # np.linalg.norm of a real vector is sqrt(arr.dot(arr)).  Only a
+        # non-finite sum of squares can hide a non-finite component, so
+        # the array is scanned only then.
+        sq_norm = float(arr.dot(arr))
+        if not math.isfinite(sq_norm) and not np.isfinite(arr).all():
             raise ValueError("components must be finite")
-        norm = float(np.linalg.norm(arr))
+        norm = math.sqrt(sq_norm)
         deviation = abs(norm - 1.0)
         if deviation > RENORM_TOLERANCE:
             raise ValueError(f"norm {norm!r} deviates from 1 by more than {RENORM_TOLERANCE}")
@@ -145,10 +148,13 @@ class OrthonormalBasis:
             raise ValueError("basis vectors must share one dimension")
         if len(vecs) != dim:
             raise ValueError(f"basis in dimension {dim} needs exactly {dim} vectors, got {len(vecs)}")
-        m = self.matrix
+        # Built once and kept, read-only, for .matrix.
+        m = np.column_stack([v.components for v in vecs])
+        m.flags.writeable = False
+        object.__setattr__(self, "_matrix", m)
         gram = m.T @ m
-        off = gram - np.diag(np.diag(gram))
-        worst = float(np.abs(off).max())
+        np.fill_diagonal(gram, 0.0)
+        worst = float(np.abs(gram).max())
         if worst > ORTHO_TOLERANCE:
             raise ValueError(f"vectors are not pairwise orthogonal: |<u,v>| up to {worst:.3e}")
 
@@ -158,8 +164,8 @@ class OrthonormalBasis:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Matrix whose column j is basis vector j."""
-        return np.column_stack([v.components for v in self.vectors])
+        """Read-only matrix whose column j is basis vector j."""
+        return self._matrix
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "OrthonormalBasis":
@@ -186,11 +192,7 @@ def colour_masks(t: float | np.ndarray, params: ColouringParams) -> tuple:
     return t < params.white_bound, t > params.black_bound
 
 
-def colour_of(vector: UnitVector, params: ColouringParams) -> Colour:
-    """Colour of one unit vector under the given cap and belt bounds."""
-    if vector.dim != params.dim:
-        raise ValueError(f"vector dimension {vector.dim} does not match params dimension {params.dim}")
-    white, black = colour_masks(abs(float(vector.components[params.axis_index])), params)
+def _colour(white: bool, black: bool) -> Colour:
     if black:
         return Colour.BLACK
     if white:
@@ -198,9 +200,28 @@ def colour_of(vector: UnitVector, params: ColouringParams) -> Colour:
     return Colour.UNCOLOURED
 
 
+def colour_of(vector: UnitVector, params: ColouringParams) -> Colour:
+    """Colour of one unit vector under the given cap and belt bounds."""
+    if vector.dim != params.dim:
+        raise ValueError(f"vector dimension {vector.dim} does not match params dimension {params.dim}")
+    return _colour(*colour_masks(abs(float(vector.components[params.axis_index])), params))
+
+
+def _row_masks(basis: OrthonormalBasis, params: ColouringParams) -> list[tuple[bool, bool]]:
+    """(white, black) of each basis vector, in basis order.
+
+    Reads the distinguished row of the basis matrix once, as floats:
+    for the few components of one basis, scalar tests are faster than
+    array ones.
+    """
+    if basis.dim != params.dim:
+        raise ValueError(f"basis dimension {basis.dim} does not match params dimension {params.dim}")
+    return [colour_masks(abs(t), params) for t in basis.matrix[params.axis_index].tolist()]
+
+
 def classify_basis(basis: OrthonormalBasis, params: ColouringParams) -> list[Colour]:
     """Colours of the basis vectors, in basis order."""
-    return [colour_of(v, params) for v in basis]
+    return [_colour(white, black) for white, black in _row_masks(basis, params)]
 
 
 def ks_satisfied(basis: OrthonormalBasis, params: ColouringParams) -> bool:
@@ -210,7 +231,5 @@ def ks_satisfied(basis: OrthonormalBasis, params: ColouringParams) -> bool:
     White.  A fully coloured basis that satisfies both has exactly one
     Black vector.
     """
-    colours = classify_basis(basis, params)
-    blacks = sum(1 for c in colours if c is Colour.BLACK)
-    whites = sum(1 for c in colours if c is Colour.WHITE)
-    return blacks <= 1 and whites < len(colours)
+    masks = _row_masks(basis, params)
+    return sum(black for _, black in masks) <= 1 and not all(white for white, _ in masks)

@@ -10,6 +10,14 @@ one row would exceed that, are refused.  Philox yields the same
 normals whether a chunk is drawn in one call or in slices, so results
 are integer counts that do not depend on the slice size.
 
+Each row's norm is formed once, as the square root of its
+``einsum("ij,ij->i")`` sum of squares.  A count divides only the
+absolute components it reads by that norm: the vector estimator its
+distinguished column, the basis estimators the whole row, in place.
+The einsum norm may differ from ``np.linalg.norm`` by a few ulp, which
+moved none of the counts the tests pin for given (dim, samples, seed),
+so a change to the stream or to this arithmetic shows as a failure.
+
 A basis is fully coloured, or breaks a constraint, according to the
 distinguished components of its vectors, which form one row of its
 matrix.  A row of a Haar-random orthogonal matrix is a uniform unit
@@ -27,6 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .colouring import ColouringParams, OrthonormalBasis, colour_masks
+from .numerics import check_dimension
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -103,10 +112,7 @@ def _check_seed(seed: int) -> None:
 
 
 def _check_run(dim: int, samples: int, seed: int) -> None:
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ValueError("dimension must be an integer")
-    if dim < 3:
-        raise ValueError("dimension must be at least 3")
+    check_dimension(dim)
     if dim > _MAX_DIM:
         raise ValueError(f"dimension must be at most {_MAX_DIM}, where one row fills a draw")
     if not isinstance(samples, int) or isinstance(samples, bool):
@@ -129,23 +135,45 @@ def _slices(dim: int, samples: int) -> Iterator[tuple[int, list[int]]]:
         yield index, [min(step, count - offset) for offset in range(0, count, step)]
 
 
-def _unit_rows(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, dim) rows of uniformly distributed unit vectors."""
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def _normal_rows(dim: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(count, dim) Gaussian rows, none near the origin, and their norms.
+
+    A row divided by its norm is a uniformly distributed unit vector.
+    """
     rows = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(rows, axis=1)
+    norms = _row_norms(rows)
     while (norms < _DEGENERATE).any():
         idx = np.flatnonzero(norms < _DEGENERATE)
         rows[idx] = rng.standard_normal((idx.size, dim))
-        norms = np.linalg.norm(rows, axis=1)
-    return rows / norms[:, None]
+        norms = _row_norms(rows)
+    return rows, norms
 
 
-def _row_stream(dim: int, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """The run's uniform unit rows, one slice at a time."""
+def _unit_rows(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, dim) rows of uniformly distributed unit vectors."""
+    rows, norms = _normal_rows(dim, count, rng)
+    rows /= norms[:, None]
+    return rows
+
+
+def _row_stream(dim: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The run's Gaussian rows and their norms, one slice at a time."""
     for index, sizes in _slices(dim, samples):
         rng = _chunk_rng(seed, index)
         for rows in sizes:
-            yield _unit_rows(dim, rows, rng)
+            yield _normal_rows(dim, rows, rng)
+
+
+def _abs_unit_rows(dim: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Absolute components of the run's uniform unit rows, one slice at a time."""
+    for rows, norms in _row_stream(dim, samples, seed):
+        np.abs(rows, out=rows)
+        rows /= norms[:, None]
+        yield rows
 
 
 def sample_basis(dim: int, rng: np.random.Generator) -> OrthonormalBasis:
@@ -183,10 +211,12 @@ def estimate_vector_fractions(dim: int, samples: int, seed: int) -> tuple[Estima
     params = ColouringParams(dim=dim)
     white_count = 0
     black_count = 0
-    for rows in _row_stream(dim, samples, seed):
-        white, black = colour_masks(np.abs(rows[:, -1]), params)
-        white_count += int(white.sum())
-        black_count += int(black.sum())
+    for rows, norms in _row_stream(dim, samples, seed):
+        t = np.abs(rows[:, -1])
+        t /= norms
+        white, black = colour_masks(t, params)
+        white_count += int(np.count_nonzero(white))
+        black_count += int(np.count_nonzero(black))
     white_value = white_count / samples
     black_value = black_count / samples
     uncoloured_value = 1.0 - (white_value + black_value)
@@ -208,9 +238,9 @@ def estimate_basis_fraction(dim: int, samples: int, seed: int) -> Estimate:
     _check_run(dim, samples, seed)
     params = ColouringParams(dim=dim)
     hits = 0
-    for rows in _row_stream(dim, samples, seed):
-        white, black = colour_masks(np.abs(rows), params)
-        hits += int((white | black).all(axis=1).sum())
+    for t in _abs_unit_rows(dim, samples, seed):
+        white, black = colour_masks(t, params)
+        hits += int(np.count_nonzero((white | black).all(axis=1)))
     return Estimate(hits / samples, samples, seed)
 
 
@@ -228,13 +258,13 @@ def verify_constraints(dim: int, samples: int, seed: int) -> ViolationReport:
     pairs = 0
     all_white = 0
     bad_full = 0
-    for rows in _row_stream(dim, samples, seed):
-        white, black = colour_masks(np.abs(rows), params)
-        blacks_per_basis = black.sum(axis=1)
+    for t in _abs_unit_rows(dim, samples, seed):
+        white, black = colour_masks(t, params)
+        blacks_per_basis = np.count_nonzero(black, axis=1)
         full = (white | black).all(axis=1)
-        pairs += int((blacks_per_basis >= 2).sum())
-        all_white += int(white.all(axis=1).sum())
-        bad_full += int((full & (blacks_per_basis != 1)).sum())
+        pairs += int(np.count_nonzero(blacks_per_basis >= 2))
+        all_white += int(np.count_nonzero(white.all(axis=1)))
+        bad_full += int(np.count_nonzero(full & (blacks_per_basis != 1)))
     return ViolationReport(
         samples=samples,
         black_pair_count=pairs,

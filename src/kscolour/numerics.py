@@ -45,8 +45,9 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-# Shared by area and bases, and kept out of __all__ like
-# DEFAULT_QUADRATURE: it is plumbing, not part of the package's surface.
+# certify and check_dimension are shared by the layer modules and kept
+# out of __all__ like DEFAULT_QUADRATURE: they are plumbing, not part of
+# the package's surface.
 def certify(value: float, bound: float, config: QuadratureConfig | None) -> float:
     """Return ``value`` once its error ``bound`` meets ``config``'s tolerance.
 
@@ -59,6 +60,18 @@ def certify(value: float, bound: float, config: QuadratureConfig | None) -> floa
             f"max({cfg.abs_tol:.3e}, {cfg.rel_tol:.3e} * {value:.6e})"
         )
     return value
+
+
+def check_dimension(n_dim: int) -> None:
+    """Raise ValueError unless ``n_dim`` is an integer of at least 3.
+
+    The colouring, its area and basis fractions and the Monte Carlo
+    runs are all defined from R^3 on.
+    """
+    if not isinstance(n_dim, int) or isinstance(n_dim, bool):
+        raise ValueError("dimension must be an integer")
+    if n_dim < 3:
+        raise ValueError("dimension must be at least 3")
 
 
 def surface_ratio(n_dim: int) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from kscolour import montecarlo
-from kscolour.colouring import Colour, ColouringParams, OrthonormalBasis, UnitVector, classify_basis
+from kscolour.colouring import Colour, ColouringParams, OrthonormalBasis, UnitVector, colour_of
 
 
 def belt_edge_angle(n_dim: int) -> float:
@@ -58,12 +58,16 @@ def axis_component_samples(dim: int, samples: int, seed: int) -> np.ndarray:
     montecarlo._check_run(dim, samples, seed)
     out = np.empty(samples)
     start = 0
-    for rows in montecarlo._row_stream(dim, samples, seed):
-        out[start : start + len(rows)] = rows[:, -1]
+    for rows, norms in montecarlo._row_stream(dim, samples, seed):
+        out[start : start + len(rows)] = rows[:, -1] / norms
         start += len(rows)
     return out
 
 
 def is_fully_coloured(basis: OrthonormalBasis, params: ColouringParams) -> bool:
-    """True when no vector of the basis is Uncoloured."""
-    return Colour.UNCOLOURED not in classify_basis(basis, params)
+    """True when no vector of the basis is Uncoloured.
+
+    Colours each vector on its own with colour_of, a route independent
+    of classify_basis's one read of the distinguished row.
+    """
+    return all(colour_of(v, params) is not Colour.UNCOLOURED for v in basis)

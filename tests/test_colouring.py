@@ -88,8 +88,12 @@ def test_unit_vector_rejects_bad_shapes():
         UnitVector(np.eye(2))
     with pytest.raises(ValueError):
         UnitVector([])
-    with pytest.raises(ValueError):
-        UnitVector([math.nan, 0.0, 0.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            UnitVector([0.0, bad, 0.0])
+    # Finite components whose squares overflow fail on their norm.
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="deviates"):
+        UnitVector([1e200, 0.0, 0.0])
 
 
 def test_unit_vector_components_frozen():
@@ -249,3 +253,64 @@ def test_fully_coloured_implies_exactly_one_black():
             assert ks_satisfied(b, params)
             if Colour.UNCOLOURED not in colours:
                 assert colours.count(Colour.BLACK) == 1
+
+
+def _per_vector(basis: OrthonormalBasis, params: ColouringParams) -> tuple[list[Colour], bool]:
+    """Colours and the two constraints, each vector coloured on its own."""
+    colours = [colour_of(v, params) for v in basis]
+    return colours, colours.count(Colour.BLACK) <= 1 and colours.count(Colour.WHITE) < len(colours)
+
+
+def _boundary_bases() -> list[tuple[OrthonormalBasis, ColouringParams]]:
+    s = math.sqrt(0.5)
+    # Last row (s, 0, s): two components exactly on the cap bound.
+    on_cap = OrthonormalBasis.from_matrix(np.array([[s, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, s]]))
+    # Hadamard / 2: every component exactly on the dim-4 belt bound.
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    return [(on_cap, P3), (OrthonormalBasis.from_matrix(h), P4), (_tilted_basis_3d(), P3)]
+
+
+def test_basis_predicates_match_per_vector_colours():
+    from kscolour.montecarlo import sample_basis
+
+    rng = np.random.default_rng(2026)
+    cases = [(OrthonormalBasis.from_matrix(np.eye(dim)), ColouringParams(dim=dim)) for dim in (3, 4, 8)]
+    cases += _boundary_bases()
+    for dim in (3, 4, 5, 8, 16):
+        for params in (ColouringParams(dim=dim), ColouringParams(dim=dim, axis_index=1)):
+            cases += [(sample_basis(dim, rng), params) for _ in range(50)]
+    # Bounds under which the constraints can fail.
+    cases += [(sample_basis(3, rng), ColouringParams(dim=3, white_bound=0.6, black_bound=0.65)) for _ in range(100)]
+    cases += [(sample_basis(3, rng), ColouringParams(dim=3, white_bound=0.1, black_bound=0.2)) for _ in range(100)]
+    satisfied = set()
+    for basis, params in cases:
+        colours, ok = _per_vector(basis, params)
+        assert classify_basis(basis, params) == colours
+        assert ks_satisfied(basis, params) is ok
+        satisfied.add(ok)
+    assert satisfied == {True, False}
+
+
+def test_basis_components_on_a_bound_stay_uncoloured():
+    on_cap, on_belt, tilted = (classify_basis(b, p) for b, p in _boundary_bases())
+    assert on_cap == [Colour.UNCOLOURED, Colour.WHITE, Colour.UNCOLOURED]
+    assert on_belt == [Colour.UNCOLOURED] * 4
+    assert tilted == [Colour.UNCOLOURED] * 3
+
+
+def test_basis_predicates_dimension_mismatch():
+    b = OrthonormalBasis.from_matrix(np.eye(4))
+    with pytest.raises(ValueError):
+        classify_basis(b, P3)
+    with pytest.raises(ValueError):
+        ks_satisfied(b, P3)
+
+
+def test_basis_matrix_is_read_only():
+    source = np.eye(3)
+    b = OrthonormalBasis.from_matrix(source)
+    with pytest.raises(ValueError):
+        b.matrix[0, 0] = 0.5
+    source[0, 0] = 0.5
+    assert b.matrix is b.matrix
+    assert np.array_equal(b.matrix, np.eye(3))

@@ -263,3 +263,74 @@ def test_verify_constraints_deterministic():
     a = verify_constraints(3, 50_000, seed=1)
     b = verify_constraints(3, 50_000, seed=1)
     assert a == b
+
+
+# Exact counts at e5968d8, before the norms became one einsum pass.
+# Every run spans at least two chunks; a change to the stream, the keys
+# or the norm and quotient arithmetic shows here as a failure rather
+# than as a z-test that still passes.
+_PINNED_VECTORS = {  # (dim, samples, seed): (white hits, black hits)
+    (3, 2 * CHUNK_SAMPLES + 123, 101): (75636, 38581),
+    (8, CHUNK_SAMPLES + 5000, 102): (45886, 2357),
+}
+_PINNED_BASES = {  # (dim, samples, seed): fully coloured bases
+    (3, 2 * CHUNK_SAMPLES + 77, 201): 91142,
+    (4, CHUNK_SAMPLES + 999, 202): 30090,
+    (16, CHUNK_SAMPLES + 300, 203): 13,
+}
+
+
+@pytest.mark.parametrize("slice_doubles", [None, 4099], ids=["whole_chunks", "ragged_slices"])
+def test_pinned_counts(monkeypatch, slice_doubles):
+    if slice_doubles is not None:
+        monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", slice_doubles)
+    for (dim, samples, seed), (white_hits, black_hits) in _PINNED_VECTORS.items():
+        w, b, _ = estimate_vector_fractions(dim, samples, seed)
+        assert (w.value, b.value) == (white_hits / samples, black_hits / samples)
+    for (dim, samples, seed), hits in _PINNED_BASES.items():
+        assert estimate_basis_fraction(dim, samples, seed).value == hits / samples
+    assert verify_constraints(4, CHUNK_SAMPLES + 4321, 301) == ViolationReport(
+        samples=CHUNK_SAMPLES + 4321, black_pair_count=0, all_white_count=0, full_without_one_black_count=0
+    )
+
+
+def test_unit_rows_have_unit_norm():
+    rng = np.random.default_rng(64)
+    for dim in range(3, 65):
+        rows = montecarlo._unit_rows(dim, 2000, rng)
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-15
+
+
+class _ZeroFirstDraw:
+    """A generator whose first draw has the given rows set to zero."""
+
+    def __init__(self, zero_rows):
+        self.rng = np.random.default_rng(5)
+        self.zero_rows = zero_rows
+        self.draws = []
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        self.draws.append(out.copy())
+        if len(self.draws) == 1:
+            out[self.zero_rows] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("zero_rows", [slice(None), [0, 3]], ids=["all_rows", "two_rows"])
+def test_degenerate_rows_are_redrawn(zero_rows):
+    stub = _ZeroFirstDraw(zero_rows)
+    rows = montecarlo._unit_rows(4, 5, stub)
+    first, second = stub.draws
+    expected = first.copy()
+    expected[zero_rows] = second
+    assert np.allclose(rows, expected / np.linalg.norm(expected, axis=1)[:, None], rtol=0.0, atol=1e-15)
+
+
+def test_estimator_redraws_degenerate_rows(monkeypatch):
+    # Through the estimator: a chunk whose first draw is all zeros still
+    # yields counts over unit rows, and every sample is counted.
+    monkeypatch.setattr(montecarlo, "_chunk_rng", lambda seed, index: _ZeroFirstDraw(slice(None)))
+    w, b, u = estimate_vector_fractions(3, 1000, seed=1)
+    assert w.value + b.value + u.value == 1.0
+    assert 0.0 < w.value < 1.0 and 0.0 < b.value < 1.0

@@ -1,9 +1,12 @@
 """The benchmark's contract with the library.
 
 perfbench's exact workload calls ``basis_fraction_3d/4d(config)`` by
-position, and its tracer wraps every public function of the layer
-modules, so a change to those names or signatures shows up here as a
-failed or incorrect run, not first in a benchmark.
+position; its sampled workload calls the three estimators, and builds
+bases with ``sample_basis`` and reads them through ``classify_basis``,
+``ks_satisfied`` and ``basis.matrix``.  Its tracer wraps every public
+function of the layer modules.  So a change to those names or
+signatures shows up here as a failed or incorrect run, not first in a
+benchmark.
 """
 
 from pathlib import Path
@@ -13,14 +16,23 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
-def test_tiny_exact_run_is_correct(trace, monkeypatch):
+def _tiny_run(workload, trace, monkeypatch):
     # measure() puts src/ and the checkout on sys.path; monkeypatch
     # restores sys.path afterwards.
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench import run
 
-    _, result = run.measure("exact", trace=trace, seed=7, seconds=0.2, min_requests=1, setup_probes=1)
+    _, result = run.measure(workload, trace=trace, seed=7, seconds=0.2, min_requests=1, setup_probes=1)
     assert result["correct"]
     assert result["failed"] == 0
     assert result["attempted"] >= 1
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_tiny_exact_run_is_correct(trace, monkeypatch):
+    _tiny_run("exact", trace, monkeypatch)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_tiny_sampled_run_is_correct(trace, monkeypatch):
+    _tiny_run("sampled", trace, monkeypatch)
