@@ -135,29 +135,18 @@ def _slices(dim: int, samples: int) -> Iterator[tuple[int, list[int]]]:
         yield index, [min(step, count - offset) for offset in range(0, count, step)]
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
-
-
 def _normal_rows(dim: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(count, dim) Gaussian rows, none near the origin, and their norms.
 
     A row divided by its norm is a uniformly distributed unit vector.
     """
     rows = rng.standard_normal((count, dim))
-    norms = _row_norms(rows)
-    while (norms < _DEGENERATE).any():
+    while True:
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         idx = np.flatnonzero(norms < _DEGENERATE)
+        if not idx.size:
+            return rows, norms
         rows[idx] = rng.standard_normal((idx.size, dim))
-        norms = _row_norms(rows)
-    return rows, norms
-
-
-def _unit_rows(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, dim) rows of uniformly distributed unit vectors."""
-    rows, norms = _normal_rows(dim, count, rng)
-    rows /= norms[:, None]
-    return rows
 
 
 def _row_stream(dim: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -44,7 +44,8 @@ def sample_unit_vector(dim: int, rng: np.random.Generator) -> UnitVector:
     """One uniformly distributed unit vector in R^dim."""
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("dimension must be a positive integer")
-    return UnitVector(montecarlo._unit_rows(dim, 1, rng)[0])
+    rows, norms = montecarlo._normal_rows(dim, 1, rng)
+    return UnitVector(rows[0] / norms[0])
 
 
 def axis_component_samples(dim: int, samples: int, seed: int) -> np.ndarray:

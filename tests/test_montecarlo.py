@@ -265,7 +265,7 @@ def test_verify_constraints_deterministic():
     assert a == b
 
 
-# Exact counts at e5968d8, before the norms became one einsum pass.
+# Exact counts, taken while the norms still came from np.linalg.norm.
 # Every run spans at least two chunks; a change to the stream, the keys
 # or the norm and quotient arithmetic shows here as a failure rather
 # than as a z-test that still passes.
@@ -294,11 +294,11 @@ def test_pinned_counts(monkeypatch, slice_doubles):
     )
 
 
-def test_unit_rows_have_unit_norm():
-    rng = np.random.default_rng(64)
+def test_counted_rows_have_unit_norm():
+    # The rows the basis counts read: |components| over the einsum norm.
     for dim in range(3, 65):
-        rows = montecarlo._unit_rows(dim, 2000, rng)
-        assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-15
+        for rows in montecarlo._abs_unit_rows(dim, 2000, seed=dim):
+            assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-15
 
 
 class _ZeroFirstDraw:
@@ -319,17 +319,19 @@ class _ZeroFirstDraw:
 
 @pytest.mark.parametrize("zero_rows", [slice(None), [0, 3]], ids=["all_rows", "two_rows"])
 def test_degenerate_rows_are_redrawn(zero_rows):
+    # Only the zeroed rows are replaced, by the next draw, in order.
     stub = _ZeroFirstDraw(zero_rows)
-    rows = montecarlo._unit_rows(4, 5, stub)
+    rows, norms = montecarlo._normal_rows(4, 5, stub)
     first, second = stub.draws
     expected = first.copy()
     expected[zero_rows] = second
-    assert np.allclose(rows, expected / np.linalg.norm(expected, axis=1)[:, None], rtol=0.0, atol=1e-15)
+    assert np.array_equal(rows, expected)
+    assert np.allclose(norms, np.linalg.norm(expected, axis=1), rtol=1e-15, atol=0.0)
 
 
 def test_estimator_redraws_degenerate_rows(monkeypatch):
     # Through the estimator: a chunk whose first draw is all zeros still
-    # yields counts over unit rows, and every sample is counted.
+    # yields counts over unit rows, not over NaN quotients.
     monkeypatch.setattr(montecarlo, "_chunk_rng", lambda seed, index: _ZeroFirstDraw(slice(None)))
     w, b, u = estimate_vector_fractions(3, 1000, seed=1)
     assert w.value + b.value + u.value == 1.0
