@@ -132,8 +132,7 @@ def total_fraction(n_dim: int, config: QuadratureConfig | None = None) -> AreaBr
 def scan(n_min: int, n_max: int, config: QuadratureConfig | None = None) -> list[AreaBreakdown]:
     """AreaBreakdown rows for every dimension in [n_min, n_max]."""
     check_dimension(n_min)
-    if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise ValueError("dimension must be an integer")
+    check_dimension(n_max)
     if n_max < n_min:
         raise ValueError(f"empty scan range [{n_min}, {n_max}]")
     return [total_fraction(n, config) for n in range(n_min, n_max + 1)]

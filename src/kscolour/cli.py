@@ -174,8 +174,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     rows = scan(args.from_dim, args.to_dim, QuadratureConfig(args.abs_tol, args.rel_tol))
     best = min(rows, key=lambda r: r.total_fraction)
     if args.out is None:
-        print(CSV_HEADER)
-        for line in _csv_lines(rows)[1:]:
+        for line in _csv_lines(rows):
             print(line)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

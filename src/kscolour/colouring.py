@@ -1,10 +1,10 @@
 """Cap-and-belt colouring of unit vectors in R^N and the basis predicates.
 
-A direction is Black when its distinguished component exceeds the cap
-bound in absolute value, White when that component is smaller than the
-belt bound, and Uncoloured in the closed ring between.  Both
-comparisons are strict, so vectors sitting exactly on either boundary
-stay Uncoloured.  Black plays the role of truth value 1, White of 0;
+The distinguished component of a vector is its last coordinate.  A
+direction is Black when that component exceeds the cap bound in
+absolute value, White when it is smaller than the belt bound, and
+Uncoloured in the closed ring between.  Both comparisons are strict,
+so vectors sitting exactly on either boundary stay Uncoloured.  Black plays the role of truth value 1, White of 0;
 the two constraints a colouring must respect on orthonormal bases are
 "never two Black vectors" and "never an all-White basis".
 """
@@ -60,34 +60,51 @@ class Colour(Enum):
 
 @dataclass(frozen=True)
 class ColouringParams:
-    """Dimension, the two strict bounds, and which axis is distinguished.
+    """Dimension and the two strict bounds; the last coordinate is distinguished.
 
     ``white_bound`` defaults to 1/sqrt(dim) (the belt that just
     excludes any basis from being all White) and ``black_bound`` to
     1/sqrt(2) (caps narrow enough that two Black vectors can never be
-    orthogonal).  ``axis_index`` defaults to the last coordinate.
+    orthogonal).
     """
 
     dim: int
     white_bound: float | None = None
     black_bound: float = _BLACK_BOUND_DEFAULT
-    axis_index: int | None = None
 
     def __post_init__(self) -> None:
         check_dimension(self.dim)
         if self.white_bound is None:
             object.__setattr__(self, "white_bound", 1.0 / math.sqrt(self.dim))
-        if self.axis_index is None:
-            object.__setattr__(self, "axis_index", self.dim - 1)
         if not (0.0 < self.white_bound < self.black_bound < 1.0):
             raise ValueError(
                 f"bounds must satisfy 0 < white_bound < black_bound < 1, "
                 f"got white_bound={self.white_bound!r}, black_bound={self.black_bound!r}"
             )
-        if not isinstance(self.axis_index, int) or isinstance(self.axis_index, bool):
-            raise ValueError("axis_index must be an integer")
-        if not (0 <= self.axis_index < self.dim):
-            raise ValueError(f"axis_index {self.axis_index!r} out of range for dim {self.dim}")
+
+
+def _unit_columns(m: np.ndarray) -> np.ndarray:
+    """``m``, a float matrix, with every column of unit norm.
+
+    A column whose norm deviates from 1 by more than ``NORM_TOLERANCE``
+    but at most ``RENORM_TOLERANCE`` is divided by its norm; a larger
+    deviation, or a non-finite entry, raises ValueError.  The other
+    columns keep their bits.
+    """
+    sq_norms = np.einsum("ij,ij->j", m, m)
+    # Only a non-finite sum of squares can hide a non-finite entry, so
+    # the matrix is scanned only then.
+    if not np.isfinite(sq_norms).all() and not np.isfinite(m).all():
+        raise ValueError("components must be finite")
+    norms = np.sqrt(sq_norms)
+    deviation = np.abs(norms - 1.0)
+    worst = int(deviation.argmax())
+    if deviation[worst] > RENORM_TOLERANCE:
+        raise ValueError(f"norm {float(norms[worst])!r} deviates from 1 by more than {RENORM_TOLERANCE}")
+    renorm = deviation > NORM_TOLERANCE
+    if renorm.any():
+        m = m / np.where(renorm, norms, 1.0)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,18 +124,7 @@ class UnitVector:
             raise ValueError("components must be one-dimensional")
         if arr.shape[0] < 1:
             raise ValueError("components must be non-empty")
-        # np.linalg.norm of a real vector is sqrt(arr.dot(arr)).  Only a
-        # non-finite sum of squares can hide a non-finite component, so
-        # the array is scanned only then.
-        sq_norm = float(arr.dot(arr))
-        if not math.isfinite(sq_norm) and not np.isfinite(arr).all():
-            raise ValueError("components must be finite")
-        norm = math.sqrt(sq_norm)
-        deviation = abs(norm - 1.0)
-        if deviation > RENORM_TOLERANCE:
-            raise ValueError(f"norm {norm!r} deviates from 1 by more than {RENORM_TOLERANCE}")
-        if deviation > NORM_TOLERANCE:
-            arr = arr / norm
+        arr = _unit_columns(arr[:, None])[:, 0]
         arr.flags.writeable = False
         object.__setattr__(self, "components", arr)
 
@@ -132,54 +138,35 @@ class UnitVector:
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
-    """An ordered orthonormal basis of R^N, one UnitVector per dimension."""
+    """An ordered orthonormal basis of R^N: column j of ``matrix`` is vector j.
 
-    vectors: tuple[UnitVector, ...]
+    The matrix is copied to float and must be square and non-empty.  Its
+    columns must be unit vectors, under the rule UnitVector applies, and
+    pairwise orthogonal.  The copy is kept read-only.
+    """
+
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        vecs = tuple(self.vectors)
-        object.__setattr__(self, "vectors", vecs)
-        if not vecs:
-            raise ValueError("basis must contain at least one vector")
-        if not all(isinstance(v, UnitVector) for v in vecs):
-            raise ValueError("basis entries must be UnitVector instances")
-        dim = vecs[0].dim
-        if any(v.dim != dim for v in vecs):
-            raise ValueError("basis vectors must share one dimension")
-        if len(vecs) != dim:
-            raise ValueError(f"basis in dimension {dim} needs exactly {dim} vectors, got {len(vecs)}")
-        # Built once and kept, read-only, for .matrix.
-        m = np.column_stack([v.components for v in vecs])
-        m.flags.writeable = False
-        object.__setattr__(self, "_matrix", m)
+        m = np.array(self.matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValueError(f"matrix must be square and non-empty, got shape {m.shape}")
+        m = _unit_columns(m)
         gram = m.T @ m
         np.fill_diagonal(gram, 0.0)
         worst = float(np.abs(gram).max())
         if worst > ORTHO_TOLERANCE:
             raise ValueError(f"vectors are not pairwise orthogonal: |<u,v>| up to {worst:.3e}")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Read-only matrix whose column j is basis vector j."""
-        return self._matrix
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "OrthonormalBasis":
-        """Build a basis from the columns of a square orthogonal matrix."""
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        return cls(tuple(UnitVector(m[:, j]) for j in range(m.shape[1])))
+        return self.matrix.shape[0]
 
     def __iter__(self):
-        return iter(self.vectors)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
+        """One UnitVector per column, in basis order."""
+        return (UnitVector(column) for column in self.matrix.T)
 
 
 def colour_masks(t: float | np.ndarray, params: ColouringParams) -> tuple:
@@ -204,7 +191,7 @@ def colour_of(vector: UnitVector, params: ColouringParams) -> Colour:
     """Colour of one unit vector under the given cap and belt bounds."""
     if vector.dim != params.dim:
         raise ValueError(f"vector dimension {vector.dim} does not match params dimension {params.dim}")
-    return _colour(*colour_masks(abs(float(vector.components[params.axis_index])), params))
+    return _colour(*colour_masks(abs(float(vector.components[-1])), params))
 
 
 def _row_masks(basis: OrthonormalBasis, params: ColouringParams) -> list[tuple[bool, bool]]:
@@ -216,7 +203,7 @@ def _row_masks(basis: OrthonormalBasis, params: ColouringParams) -> list[tuple[b
     """
     if basis.dim != params.dim:
         raise ValueError(f"basis dimension {basis.dim} does not match params dimension {params.dim}")
-    return [colour_masks(abs(t), params) for t in basis.matrix[params.axis_index].tolist()]
+    return [colour_masks(abs(t), params) for t in basis.matrix[-1].tolist()]
 
 
 def classify_basis(basis: OrthonormalBasis, params: ColouringParams) -> list[Colour]:

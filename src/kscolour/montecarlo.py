@@ -172,10 +172,9 @@ def sample_basis(dim: int, rng: np.random.Generator) -> OrthonormalBasis:
     of R[j, j]: the factorisation with positive diagonal, whose Q is
     Haar-distributed.
     """
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError("dimension must be a positive integer")
+    check_dimension(dim)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return OrthonormalBasis.from_matrix(q * np.copysign(1.0, np.diag(r)))
+    return OrthonormalBasis(q * np.copysign(1.0, np.diag(r)))
 
 
 def estimate_vector_fractions(dim: int, samples: int, seed: int) -> tuple[Estimate, Estimate, Estimate]:

@@ -306,7 +306,7 @@ def sampled_white_circle_measure(theta: float, h: float, points: int = 100_000) 
     u2 = np.array([0.0, 1.0, 0.0])
     s = 2.0 * math.pi * (np.arange(points) + 0.5) / points
     grid = np.cos(s)[:, None] * u1 + np.sin(s)[:, None] * u2
-    white, _ = colour_masks(np.abs(grid[:, params.axis_index]), params)
+    white, _ = colour_masks(np.abs(grid[:, -1]), params)
     return 2.0 * math.pi * int(white.sum()) / points
 
 

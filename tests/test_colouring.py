@@ -28,13 +28,12 @@ def _tilted_basis_3d() -> OrthonormalBasis:
     r1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     r2 = np.cross(r3, r1)
     m = np.vstack([r1, r2, r3])
-    return OrthonormalBasis.from_matrix(m)
+    return OrthonormalBasis(m)
 
 
 def test_params_defaults():
     assert P3.white_bound == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
     assert P3.black_bound == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-    assert P3.axis_index == 2
     assert P4.white_bound == 0.5
 
 
@@ -53,10 +52,6 @@ def test_params_validation():
         ColouringParams(dim=3, white_bound=-0.1)
     with pytest.raises(ValueError):
         ColouringParams(dim=3, black_bound=1.5)
-    with pytest.raises(ValueError):
-        ColouringParams(dim=3, axis_index=3)
-    with pytest.raises(ValueError):
-        ColouringParams(dim=3, axis_index=-1)
 
 
 def test_colour_truth_values():
@@ -103,31 +98,59 @@ def test_unit_vector_components_frozen():
 
 
 def test_basis_construction_and_matrix_roundtrip():
-    b = OrthonormalBasis.from_matrix(np.eye(4))
-    assert b.dim == 4 and len(b) == 4
-    assert np.allclose(b.matrix, np.eye(4))
-    again = OrthonormalBasis(tuple(b.vectors))
-    assert np.allclose(again.matrix, np.eye(4))
+    b = OrthonormalBasis(np.eye(4))
+    assert b.dim == 4
+    assert np.array_equal(b.matrix, np.eye(4))
+    again = OrthonormalBasis(b.matrix)
+    assert np.array_equal(again.matrix, np.eye(4))
+
+
+def test_basis_iterates_unit_vectors_equal_to_its_columns():
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    b = OrthonormalBasis(q)
+    vectors = list(b)
+    assert len(vectors) == 5 and all(isinstance(v, UnitVector) for v in vectors)
+    for j, v in enumerate(vectors):
+        assert np.array_equal(v.components, b.matrix[:, j])
+
+
+def test_basis_renormalizes_small_column_deviation():
+    m = np.eye(3)
+    m[:, 1] *= 1.0 + 2e-10
+    b = OrthonormalBasis(m)
+    assert abs(float(np.linalg.norm(b.matrix[:, 1])) - 1.0) <= 1e-15
+    # Columns within NORM_TOLERANCE keep their bits.
+    assert np.array_equal(b.matrix[:, [0, 2]], np.eye(3)[:, [0, 2]])
+
+
+def test_basis_rejects_large_column_deviation():
+    m = np.eye(3)
+    m[:, 2] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="deviates"):
+        OrthonormalBasis(m)
+
+
+def test_basis_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        m = np.eye(3)
+        m[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            OrthonormalBasis(m)
 
 
 def test_basis_rejects_non_orthogonal():
-    v1 = UnitVector([1.0, 0.0, 0.0])
-    v2 = UnitVector([math.sqrt(0.5), math.sqrt(0.5), 0.0])
-    v3 = UnitVector([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        OrthonormalBasis((v1, v2, v3))
+    s = math.sqrt(0.5)
+    with pytest.raises(ValueError, match="orthogonal"):
+        OrthonormalBasis(np.array([[1.0, s, 0.0], [0.0, s, 0.0], [0.0, 0.0, 1.0]]))
 
 
-def test_basis_rejects_wrong_count():
-    v1 = UnitVector([1.0, 0.0, 0.0])
-    v2 = UnitVector([0.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        OrthonormalBasis((v1, v2))
-
-
-def test_basis_rejects_mixed_dimensions():
-    with pytest.raises(ValueError):
-        OrthonormalBasis((UnitVector([1.0, 0.0]), UnitVector([0.0, 1.0, 0.0])))
+def test_basis_rejects_non_square():
+    # Two unit columns of R^3, three columns of two components, one
+    # vector, and nothing at all.
+    for bad in (np.eye(3)[:, :2], np.eye(3)[:2, :], np.array([1.0, 0.0, 0.0]), np.empty((0, 0)), np.empty(0)):
+        with pytest.raises(ValueError, match="square"):
+            OrthonormalBasis(bad)
 
 
 def test_colour_of_cap_belt_and_gap():
@@ -161,19 +184,13 @@ def test_colour_masks_on_arrays_match_colour_of():
     assert colours.count(Colour.UNCOLOURED) == 5
 
 
-def test_colour_of_respects_axis_index():
-    params = ColouringParams(dim=3, axis_index=0)
-    assert colour_of(UnitVector([1.0, 0.0, 0.0]), params) is Colour.BLACK
-    assert colour_of(UnitVector([0.0, 0.0, 1.0]), params) is Colour.WHITE
-
-
 def test_colour_of_dimension_mismatch():
     with pytest.raises(ValueError):
         colour_of(UnitVector([1.0, 0.0, 0.0, 0.0]), P3)
 
 
 def test_classify_standard_basis():
-    b = OrthonormalBasis.from_matrix(np.eye(3))
+    b = OrthonormalBasis(np.eye(3))
     assert classify_basis(b, P3) == [Colour.WHITE, Colour.WHITE, Colour.BLACK]
     assert is_fully_coloured(b, P3)
     assert ks_satisfied(b, P3)
@@ -189,7 +206,7 @@ def test_classify_tilted_basis_all_uncoloured():
 def test_ks_violations_under_nonstandard_bounds():
     # Shrinking the cap bound lets two orthogonal vectors both go Black.
     s = math.sqrt(0.5)
-    tilted = OrthonormalBasis.from_matrix(
+    tilted = OrthonormalBasis(
         np.array([[s, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, s]])
     )
     two_black = ColouringParams(dim=3, white_bound=0.1, black_bound=0.2)
@@ -264,21 +281,20 @@ def _per_vector(basis: OrthonormalBasis, params: ColouringParams) -> tuple[list[
 def _boundary_bases() -> list[tuple[OrthonormalBasis, ColouringParams]]:
     s = math.sqrt(0.5)
     # Last row (s, 0, s): two components exactly on the cap bound.
-    on_cap = OrthonormalBasis.from_matrix(np.array([[s, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, s]]))
+    on_cap = OrthonormalBasis(np.array([[s, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, s]]))
     # Hadamard / 2: every component exactly on the dim-4 belt bound.
     h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
-    return [(on_cap, P3), (OrthonormalBasis.from_matrix(h), P4), (_tilted_basis_3d(), P3)]
+    return [(on_cap, P3), (OrthonormalBasis(h), P4), (_tilted_basis_3d(), P3)]
 
 
 def test_basis_predicates_match_per_vector_colours():
     from kscolour.montecarlo import sample_basis
 
     rng = np.random.default_rng(2026)
-    cases = [(OrthonormalBasis.from_matrix(np.eye(dim)), ColouringParams(dim=dim)) for dim in (3, 4, 8)]
+    cases = [(OrthonormalBasis(np.eye(dim)), ColouringParams(dim=dim)) for dim in (3, 4, 8)]
     cases += _boundary_bases()
     for dim in (3, 4, 5, 8, 16):
-        for params in (ColouringParams(dim=dim), ColouringParams(dim=dim, axis_index=1)):
-            cases += [(sample_basis(dim, rng), params) for _ in range(50)]
+        cases += [(sample_basis(dim, rng), ColouringParams(dim=dim)) for _ in range(100)]
     # Bounds under which the constraints can fail.
     cases += [(sample_basis(3, rng), ColouringParams(dim=3, white_bound=0.6, black_bound=0.65)) for _ in range(100)]
     cases += [(sample_basis(3, rng), ColouringParams(dim=3, white_bound=0.1, black_bound=0.2)) for _ in range(100)]
@@ -299,7 +315,7 @@ def test_basis_components_on_a_bound_stay_uncoloured():
 
 
 def test_basis_predicates_dimension_mismatch():
-    b = OrthonormalBasis.from_matrix(np.eye(4))
+    b = OrthonormalBasis(np.eye(4))
     with pytest.raises(ValueError):
         classify_basis(b, P3)
     with pytest.raises(ValueError):
@@ -308,7 +324,7 @@ def test_basis_predicates_dimension_mismatch():
 
 def test_basis_matrix_is_read_only():
     source = np.eye(3)
-    b = OrthonormalBasis.from_matrix(source)
+    b = OrthonormalBasis(source)
     with pytest.raises(ValueError):
         b.matrix[0, 0] = 0.5
     source[0, 0] = 0.5

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,9 @@ def test_argument_validation():
         estimate_basis_fraction(3, 100, 2**64)
     with pytest.raises(ValueError):
         sample_unit_vector(0, np.random.default_rng(0))
+    for bad in (2, 3.0, True):
+        with pytest.raises(ValueError):
+            sample_basis(bad, np.random.default_rng(0))  # type: ignore[arg-type]
 
 
 def test_samplers_produce_valid_objects():
@@ -90,6 +95,17 @@ def test_sample_basis_is_gram_schmidt_of_the_same_normals():
                 v -= ref[:, :j] @ (ref[:, :j].T @ v)
             ref[:, j] = v / np.linalg.norm(v)
         assert np.abs(q - ref).max() < 1e-12
+
+
+def test_sample_basis_matrices_are_pinned():
+    # Every entry's float.hex, for np.random.default_rng(dim), so that any
+    # change to the basis path that moves a sampled basis fails here.
+    # The pins come from numpy's bundled LAPACK; another LAPACK build may
+    # round the QR differently.
+    pins = json.loads(Path(__file__).with_name("sample_basis_pins.json").read_text())
+    for dim in (3, 4, 8, 16):
+        m = sample_basis(dim, np.random.default_rng(dim)).matrix
+        assert [[x.hex() for x in row] for row in m.tolist()] == pins[str(dim)], dim
 
 
 def _ks_statistic(samples: np.ndarray, cdf) -> float:
