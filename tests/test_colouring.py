@@ -109,9 +109,9 @@ def test_basis_iterates_unit_vectors_equal_to_its_columns():
     rng = np.random.default_rng(11)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     b = OrthonormalBasis(q)
-    vectors = list(b)
-    assert len(vectors) == 5 and all(isinstance(v, UnitVector) for v in vectors)
-    for j, v in enumerate(vectors):
+    units = list(b)
+    assert len(units) == 5 and all(isinstance(v, UnitVector) for v in units)
+    for j, v in enumerate(units):
         assert np.array_equal(v.components, b.matrix[:, j])
 
 
