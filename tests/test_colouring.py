@@ -145,10 +145,21 @@ def test_basis_rejects_non_orthogonal():
         OrthonormalBasis(np.array([[1.0, s, 0.0], [0.0, s, 0.0], [0.0, 0.0, 1.0]]))
 
 
+def test_basis_rejects_wrong_count():
+    # Two unit columns of R^3 are too few for a basis.
+    with pytest.raises(ValueError, match="square"):
+        OrthonormalBasis(np.eye(3)[:, :2])
+
+
+def test_basis_rejects_mixed_dimensions():
+    # Rows of two and three components make no matrix.
+    with pytest.raises(ValueError):
+        OrthonormalBasis([[1.0, 0.0], [0.0, 1.0, 0.0]])
+
+
 def test_basis_rejects_non_square():
-    # Two unit columns of R^3, three columns of two components, one
-    # vector, and nothing at all.
-    for bad in (np.eye(3)[:, :2], np.eye(3)[:2, :], np.array([1.0, 0.0, 0.0]), np.empty((0, 0)), np.empty(0)):
+    # Three columns of two components, one vector, and nothing at all.
+    for bad in (np.eye(3)[:2, :], np.array([1.0, 0.0, 0.0]), np.empty((0, 0)), np.empty(0)):
         with pytest.raises(ValueError, match="square"):
             OrthonormalBasis(bad)
 
