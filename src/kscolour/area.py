@@ -12,7 +12,7 @@ of DLMF 8.17.8, with B(1/2, (N-1)/2) = 1 / surface_ratio(N).
 import math
 from dataclasses import dataclass
 
-from .numerics import QuadratureConfig, certify, check_dimension, surface_ratio
+from .numerics import EPS, RANGE_TOL, QuadratureConfig, certify, check_dimension, surface_ratio
 
 __all__ = [
     "AreaBreakdown",
@@ -25,11 +25,7 @@ __all__ = [
     "limit_series",
 ]
 
-# Roundoff allowed above 1 in a fraction; a total beyond it means the
-# white and black regions overlap.
-_RANGE_TOL = 1e-12
-_EPS = math.ulp(1.0)
-# Relative rounding of a series prefactor, in units of _EPS: up to 2.2
+# Relative rounding of a series prefactor, in units of EPS: up to 2.2
 # from surface_ratio (largest at N = 51), and a few for the powers and
 # products around it.  Against mpmath the whole prefactor errs by at
 # most 2.5 eps over N = 3..2000 and near each power of ten up to 1e7.
@@ -48,7 +44,7 @@ class AreaBreakdown:
         check_dimension(self.dim)
         for name in ("white_fraction", "black_fraction", "total_fraction"):
             v = getattr(self, name)
-            if not (0.0 <= v <= 1.0 + _RANGE_TOL):
+            if not (0.0 <= v <= 1.0 + RANGE_TOL):
                 raise ValueError(f"{name} {v!r} outside [0, 1]")
 
     @property
@@ -76,13 +72,13 @@ def _beta_series(x: float, a: float, b: float, prefactor: float, config: Quadrat
     """
     total = term = 1.0
     n = 0
-    while term > _EPS * total:
+    while term > EPS * total:
         ratio = x * (a + b + n) / (a + 1.0 + n)
         term *= ratio
         total += term
         n += 1
     rho = max(ratio, x)
-    bound = prefactor * (term * rho / (1.0 - rho) + (2 * n + _PREFACTOR_EPS) * _EPS * total)
+    bound = prefactor * (term * rho / (1.0 - rho) + (2 * n + _PREFACTOR_EPS) * EPS * total)
     return certify(prefactor * total, bound, config)
 
 
@@ -176,7 +172,7 @@ def limit_series(k_max: int) -> float:
     if not isinstance(k_max, int) or isinstance(k_max, bool):
         raise ValueError("k_max must be an integer")
     if k_max < 0:
-        raise ValueError("k_max must be non-negative")
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
     total = 1.0
     term = 1.0
     for k in range(1, k_max + 1):

@@ -43,7 +43,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .numerics import QuadratureConfig, certify, check_dimension
+from .numerics import EPS, RANGE_TOL, QuadratureConfig, certify, check_dimension
 
 __all__ = [
     "BasisFractionResult",
@@ -51,10 +51,7 @@ __all__ = [
     "basis_fraction_4d",
 ]
 
-# Roundoff allowed above 1 in a fraction.
-_RANGE_TOL = 1e-12
-_EPS = math.ulp(1.0)
-# Relative rounding of a closed form, in units of _EPS per unit of
+# Relative rounding of a closed form, in units of EPS per unit of
 # sum(|terms|): each term carries at most six roundings of eps/2 (libm's
 # atan among them) and math.fsum rounds the sum once more.
 _TERMS_EPS = 4
@@ -72,7 +69,7 @@ class BasisFractionResult:
         check_dimension(self.dim)
         if self.normalizer <= 0.0:
             raise ValueError("normalizer must be positive")
-        if not (0.0 <= self.fraction <= 1.0 + _RANGE_TOL):
+        if not (0.0 <= self.fraction <= 1.0 + RANGE_TOL):
             raise ValueError(f"fraction {self.fraction!r} outside [0, 1]")
 
     @property
@@ -87,7 +84,7 @@ class BasisFractionResult:
 
 def _closed_form(terms: Sequence[float], config: QuadratureConfig | None) -> float:
     """Sum of elementary terms, certified against ``config``'s tolerance."""
-    return certify(math.fsum(terms), _TERMS_EPS * _EPS * math.fsum(map(abs, terms)), config)
+    return certify(math.fsum(terms), _TERMS_EPS * EPS * math.fsum(map(abs, terms)), config)
 
 
 def basis_fraction_3d(config: QuadratureConfig | None = None) -> BasisFractionResult:

@@ -8,8 +8,8 @@ limit   large-dimension limit and its alternating-series check
 basis   fully-coloured-basis fraction in closed form or by Monte Carlo
 verify  constraint check over Haar-random bases
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 verification failure.
+Exit codes: 0 success, 1 usage error (or an output file that cannot be
+written), 2 numerical failure, 3 verification failure.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .area import asymptotic_limit, limit_series, scan, total_fraction
 from .bases import basis_fraction_3d, basis_fraction_4d
-from .numerics import QuadratureConfig, QuadratureError
+from .numerics import QuadratureConfig, QuadratureError, check_dimension
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL", "EXIT_VERIFICATION", "RunManifest", "main", "run"]
 
@@ -43,10 +43,6 @@ DIM4_DISCREPANCY_NOTICE = (
     "number is reported exactly as prescribed; the sampled number stands as an\n"
     "independent measurement of the fully-coloured-basis fraction."
 )
-
-
-class UsageError(ValueError):
-    """Bad argument combination detected after parsing."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         try:
             return int(env)
         except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     return secrets.randbits(63)
 
 
@@ -142,13 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_dim(dim: int) -> None:
-    if dim < 3:
-        raise UsageError(f"--dim must be at least 3, got {dim}")
-
-
 def _cmd_area(args: argparse.Namespace) -> int:
-    _require_dim(args.dim)
     row = total_fraction(args.dim, QuadratureConfig(args.abs_tol, args.rel_tol))
     print(f"dimension: {row.dim}")
     print(f"white fraction: {_fmt(row.white_fraction)} ({_pct(row.white_fraction)})")
@@ -166,10 +156,6 @@ def _csv_lines(rows) -> list[str]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.from_dim < 3:
-        raise UsageError(f"--from must be at least 3, got {args.from_dim}")
-    if args.to_dim < args.from_dim:
-        raise UsageError(f"--to must be at least --from, got [{args.from_dim}, {args.to_dim}]")
     started = time.perf_counter()
     rows = scan(args.from_dim, args.to_dim, QuadratureConfig(args.abs_tol, args.rel_tol))
     best = min(rows, key=lambda r: r.total_fraction)
@@ -198,8 +184,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
-    if args.series_terms < 0:
-        raise UsageError(f"--series-terms must be non-negative, got {args.series_terms}")
     limit = asymptotic_limit()
     partial = limit_series(args.series_terms)
     rescaled = partial * math.sqrt(2.0 / math.pi)
@@ -210,22 +194,23 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _quadrature_fraction(dim: int, config: QuadratureConfig):
-    return basis_fraction_3d(config) if dim == 3 else basis_fraction_4d(config)
+_QUADRATURE_FRACTIONS = {3: basis_fraction_3d, 4: basis_fraction_4d}
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     # Nothing is printed until every number is in hand, so a failure
-    # leaves stdout empty.
-    _require_dim(args.dim)
+    # leaves stdout empty.  The dimension is checked first so that N < 3
+    # is refused as such, not as a dimension without a prescription.
+    check_dimension(args.dim)
     cfg = QuadratureConfig(args.abs_tol, args.rel_tol)
+    prescription = _QUADRATURE_FRACTIONS.get(args.dim)
     if args.method == "quadrature":
-        if args.dim not in (3, 4):
-            raise UsageError(
+        if prescription is None:
+            raise ValueError(
                 "the quadrature prescription covers dimensions 3 and 4 only; "
                 "use --method montecarlo for higher dimensions"
             )
-        result = _quadrature_fraction(args.dim, cfg)
+        result = prescription(cfg)
         print(f"dimension: {args.dim}")
         print("method: quadrature")
         print(f"raw integral: {_fmt(result.raw_integral)}")
@@ -234,14 +219,12 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         print(f"fully coloured basis fraction: {_fmt(result.fraction)} ({_pct(result.fraction)})")
         return EXIT_OK
 
-    if args.samples < 1:
-        raise UsageError(f"--samples must be positive, got {args.samples}")
     seed = _resolve_seed(args)
     # Imported here so that the quadrature commands never load numpy.
     from .montecarlo import CHUNK_SAMPLES, RNG_FAMILY, estimate_basis_fraction
 
     estimate = estimate_basis_fraction(args.dim, args.samples, seed)
-    reference = _quadrature_fraction(args.dim, cfg) if args.dim in (3, 4) else None
+    reference = prescription(cfg) if prescription is not None else None
     print(f"dimension: {args.dim}")
     print("method: montecarlo")
     print(f"rng: {RNG_FAMILY} (chunks of {CHUNK_SAMPLES} keyed by seed and chunk index)")
@@ -266,9 +249,8 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _require_dim(args.dim)
-    if args.samples < 1:
-        raise UsageError(f"--samples must be positive, got {args.samples}")
+    # Checked before a seed is drawn and numpy loads.
+    check_dimension(args.dim)
     seed = _resolve_seed(args)
     from .montecarlo import RNG_FAMILY, verify_constraints
 
@@ -297,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

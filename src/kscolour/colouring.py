@@ -132,9 +132,6 @@ class UnitVector:
     def dim(self) -> int:
         return self.components.shape[0]
 
-    def __neg__(self) -> "UnitVector":
-        return UnitVector(-self.components)
-
 
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:

@@ -118,7 +118,7 @@ def _check_run(dim: int, samples: int, seed: int) -> None:
     if not isinstance(samples, int) or isinstance(samples, bool):
         raise ValueError("samples must be an integer")
     if samples < 1:
-        raise ValueError("samples must be positive")
+        raise ValueError(f"samples must be positive, got {samples}")
     _check_seed(seed)
 
 

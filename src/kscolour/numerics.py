@@ -45,9 +45,15 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-# certify and check_dimension are shared by the layer modules and kept
-# out of __all__ like DEFAULT_QUADRATURE: they are plumbing, not part of
-# the package's surface.
+# certify, check_dimension and the roundoff constants are shared by the
+# layer modules and kept out of __all__ like DEFAULT_QUADRATURE: they are
+# plumbing, not part of the package's surface.  RANGE_TOL is the roundoff
+# allowed above 1 in a fraction; a total beyond it means the white and
+# black regions overlap.
+RANGE_TOL = 1e-12
+EPS = math.ulp(1.0)
+
+
 def certify(value: float, bound: float, config: QuadratureConfig | None) -> float:
     """Return ``value`` once its error ``bound`` meets ``config``'s tolerance.
 
@@ -71,7 +77,7 @@ def check_dimension(n_dim: int) -> None:
     if not isinstance(n_dim, int) or isinstance(n_dim, bool):
         raise ValueError("dimension must be an integer")
     if n_dim < 3:
-        raise ValueError("dimension must be at least 3")
+        raise ValueError(f"dimension must be at least 3, got {n_dim}")
 
 
 def surface_ratio(n_dim: int) -> float:

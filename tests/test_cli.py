@@ -275,6 +275,54 @@ def test_basis_failure_leaves_stdout_empty(args, code, capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["area", "--dim", "2"], "dimension must be at least 3, got 2"),
+        (["scan", "--from", "2", "--to", "5"], "dimension must be at least 3, got 2"),
+        (["scan", "--from", "5", "--to", "4"], "empty scan range [5, 4]"),
+        (["limit", "--series-terms", "-1"], "k_max must be non-negative, got -1"),
+        (["basis", "--dim", "2"], "dimension must be at least 3, got 2"),
+        (["basis", "--dim", "2", "--method", "montecarlo"], "dimension must be at least 3, got 2"),
+        (["basis", "--dim", "3", "--method", "montecarlo", "--samples", "0"], "samples must be positive, got 0"),
+        (["verify", "--dim", "2"], "dimension must be at least 3, got 2"),
+        (["verify", "--dim", "3", "--samples", "0"], "samples must be positive, got 0"),
+    ],
+    ids=[
+        "area_dim2",
+        "scan_from2",
+        "scan_empty",
+        "limit_negative",
+        "basis_dim2",
+        "basis_mc_dim2",
+        "basis_zero_samples",
+        "verify_dim2",
+        "verify_zero_samples",
+    ],
+)
+def test_library_refusals_are_usage_errors(args, message, monkeypatch, capsys):
+    # The CLI keeps no copies of these checks: the library's own message
+    # reaches stderr, and nothing reaches stdout.
+    monkeypatch.delenv("KSCOLOUR_SEED", raising=False)
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_scan_unwritable_out_is_usage_error(target, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    if target == "directory":
+        out = tmp_path / "x.csv"
+        out.mkdir()
+    assert main(["scan", "--from", "3", "--to", "5", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error:")
+    assert not list(tmp_path.rglob("*.manifest.json"))
+
+
 @pytest.mark.parametrize("command", [["basis", "--method", "montecarlo"], ["verify"]])
 def test_montecarlo_dimension_beyond_one_row_per_draw_is_usage_error(command, monkeypatch, capsys):
     # One row of R^(2^20 + 1) alone exceeds the per-draw budget; the run
@@ -295,10 +343,12 @@ def test_montecarlo_dimension_beyond_one_row_per_draw_is_usage_error(command, mo
         (("limit",), 0, "erf(1/sqrt(2)): 0.682689492137"),
         (("basis", "--dim", "3"), 0, "fully coloured basis fraction: 0.695759466758"),
         (("basis", "--dim", "4"), 0, "fully coloured basis fraction: 0.341615053774"),
-        (("area", "--dim", "2"), 1, "error: --dim must be at least 3"),
+        (("area", "--dim", "2"), 1, "error: dimension must be at least 3, got 2"),
         (("area", "--dim", "3", "--abs-tol", "0"), 1, "error: abs_tol must be positive and finite"),
+        (("verify", "--dim", "2"), 1, "error: dimension must be at least 3, got 2"),
+        (("basis", "--dim", "2", "--method", "montecarlo"), 1, "error: dimension must be at least 3, got 2"),
     ],
-    ids=["area", "scan", "limit", "basis3", "basis4", "usage", "bad_tolerance"],
+    ids=["area", "scan", "limit", "basis3", "basis4", "usage", "bad_tolerance", "verify_usage", "basis_mc_usage"],
 )
 def test_quadrature_commands_run_without_numpy(args, code, expected):
     # Only the sampling commands may load numpy; the others print the

@@ -235,7 +235,7 @@ def test_antipodal_symmetry(index):
     rng = np.random.default_rng(index)
     x = rng.standard_normal(3)
     v = UnitVector(x / np.linalg.norm(x))
-    assert colour_of(v, P3) is colour_of(-v, P3)
+    assert colour_of(v, P3) is colour_of(UnitVector(-v.components), P3)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.floats(0.0, 2.0 * math.pi))
