@@ -14,61 +14,42 @@ first access, all at once, and only sampling pays for that import.
 
 __version__ = "0.1.0"
 
-from .area import (
-    AreaBreakdown,
-    argmin_total,
-    asymptotic_limit,
-    black_fraction,
-    limit_series,
-    scan,
-    total_fraction,
-    white_fraction,
-)
-from .bases import BasisFractionResult, basis_fraction_3d, basis_fraction_4d
-from .numerics import QuadratureConfig, QuadratureError, surface_ratio
+from . import area, bases, numerics
+from .area import *
+from .bases import *
+from .numerics import *
 
-__all__ = [
-    "__version__",
-    "AreaBreakdown",
-    "BasisFractionResult",
+# The public names of colouring and montecarlo.  They are the only names
+# spelled out here, since reading those modules' own __all__ would load
+# numpy.
+_LAZY = (
     "Colour",
     "ColouringParams",
-    "Estimate",
-    "OrthonormalBasis",
-    "QuadratureConfig",
-    "QuadratureError",
     "UnitVector",
-    "ViolationReport",
-    "argmin_total",
-    "asymptotic_limit",
-    "basis_fraction_3d",
-    "basis_fraction_4d",
-    "black_fraction",
-    "classify_basis",
+    "OrthonormalBasis",
     "colour_of",
-    "estimate_basis_fraction",
-    "estimate_vector_fractions",
+    "classify_basis",
     "ks_satisfied",
-    "limit_series",
+    "Estimate",
+    "ViolationReport",
     "sample_basis",
-    "scan",
-    "surface_ratio",
-    "total_fraction",
+    "estimate_vector_fractions",
+    "estimate_basis_fraction",
     "verify_constraints",
-    "white_fraction",
-]
+)
+
+__all__ = ["__version__", *area.__all__, *bases.__all__, *numerics.__all__, *_LAZY]
 
 
 def __getattr__(name: str):
     # PEP 562: called only for names not yet bound.  Binding every public
     # name of both numpy layers at once keeps later lookups plain dict hits.
-    if name in __all__:
+    if name in _LAZY:
         from . import colouring, montecarlo
 
         for module in (colouring, montecarlo):
-            globals().update((attr, getattr(module, attr)) for attr in module.__all__ if attr in __all__)
-        if name in globals():
-            return globals()[name]
+            globals().update((attr, getattr(module, attr)) for attr in module.__all__ if attr in _LAZY)
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .area import asymptotic_limit, limit_series, scan, total_fraction
 from .bases import basis_fraction_3d, basis_fraction_4d
-from .numerics import QuadratureConfig, QuadratureError, check_dimension
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, check_dimension
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL", "EXIT_VERIFICATION", "RunManifest", "main", "run"]
 
@@ -78,8 +78,9 @@ def _pct(x: float) -> str:
 
 
 def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-tol", type=float, default=1e-12, help="absolute tolerance the result must meet")
-    p.add_argument("--rel-tol", type=float, default=1e-10, help="relative tolerance the result must meet")
+    tol = DEFAULT_QUADRATURE
+    p.add_argument("--abs-tol", type=float, default=tol.abs_tol, help="absolute tolerance the result must meet")
+    p.add_argument("--rel-tol", type=float, default=tol.rel_tol, help="relative tolerance the result must meet")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -175,8 +176,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             wall_time_s=time.perf_counter() - started,
         )
         manifest_path = args.out + ".manifest.json"
-        with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(manifest.to_json())
+        # A CSV is never left behind without its manifest.
+        try:
+            with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(manifest.to_json())
+        except OSError:
+            os.unlink(args.out)
+            raise
         print(f"wrote {len(rows)} rows to {args.out}")
         print(f"wrote manifest to {manifest_path}")
     print(f"least total coloured fraction: N={best.dim} at {_fmt(best.total_fraction)}")

@@ -4,13 +4,16 @@ The distinguished component of a vector is its last coordinate.  A
 direction is Black when that component exceeds the cap bound in
 absolute value, White when it is smaller than the belt bound, and
 Uncoloured in the closed ring between.  Both comparisons are strict,
-so vectors sitting exactly on either boundary stay Uncoloured.  Black plays the role of truth value 1, White of 0;
-the two constraints a colouring must respect on orthonormal bases are
-"never two Black vectors" and "never an all-White basis".
+so vectors sitting exactly on either boundary stay Uncoloured.  The
+dimension fixes both bounds: the caps start at 1/sqrt(2) and the belt
+ends at 1/sqrt(dim), as in Appleby's construction carried to R^N.
+Black plays the role of truth value 1, White of 0; the two constraints
+a colouring must respect on orthonormal bases are "never two Black
+vectors" and "never an all-White basis".
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,7 +43,7 @@ ORTHO_TOLERANCE = 1e-12
 
 # math.sqrt(0.5) is the correctly rounded double for 1/sqrt(2);
 # 1.0/math.sqrt(2.0) lands one ulp below it.
-_BLACK_BOUND_DEFAULT = math.sqrt(0.5)
+_BLACK_BOUND = math.sqrt(0.5)
 
 
 class Colour(Enum):
@@ -60,27 +63,22 @@ class Colour(Enum):
 
 @dataclass(frozen=True)
 class ColouringParams:
-    """Dimension and the two strict bounds; the last coordinate is distinguished.
+    """The colouring of the unit sphere in R^dim; the last coordinate is distinguished.
 
-    ``white_bound`` defaults to 1/sqrt(dim) (the belt that just
-    excludes any basis from being all White) and ``black_bound`` to
-    1/sqrt(2) (caps narrow enough that two Black vectors can never be
-    orthogonal).
+    The dimension fixes both strict bounds, which are stored, not
+    settable: ``white_bound`` is 1/sqrt(dim), the belt that just
+    excludes any basis from being all White, and ``black_bound`` is
+    1/sqrt(2), caps narrow enough that two Black vectors can never be
+    orthogonal.
     """
 
     dim: int
-    white_bound: float | None = None
-    black_bound: float = _BLACK_BOUND_DEFAULT
+    white_bound: float = field(init=False)
+    black_bound: float = field(init=False, default=_BLACK_BOUND)
 
     def __post_init__(self) -> None:
         check_dimension(self.dim)
-        if self.white_bound is None:
-            object.__setattr__(self, "white_bound", 1.0 / math.sqrt(self.dim))
-        if not (0.0 < self.white_bound < self.black_bound < 1.0):
-            raise ValueError(
-                f"bounds must satisfy 0 < white_bound < black_bound < 1, "
-                f"got white_bound={self.white_bound!r}, black_bound={self.black_bound!r}"
-            )
+        object.__setattr__(self, "white_bound", 1.0 / math.sqrt(self.dim))
 
 
 def _unit_columns(m: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ checks do.
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,3 +73,14 @@ def is_fully_coloured(basis: OrthonormalBasis, params: ColouringParams) -> bool:
     of classify_basis's one read of the distinguished row.
     """
     return all(colour_of(v, params) is not Colour.UNCOLOURED for v in basis)
+
+
+def bounds_stand_in(dim: int, white_bound: float, black_bound: float) -> SimpleNamespace:
+    """A stand-in for ColouringParams with bounds of the caller's choice.
+
+    ColouringParams derives both bounds from the dimension; the
+    predicates read only ``dim``, ``white_bound`` and ``black_bound``,
+    so tests that need a colouring under which the constraints can
+    fail, or a belt of another width, pass this instead.
+    """
+    return SimpleNamespace(dim=dim, white_bound=white_bound, black_bound=black_bound)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import quad
+from helpers import bounds_stand_in, quad
 
 from kscolour.bases import BasisFractionResult, basis_fraction_3d, basis_fraction_4d
 from kscolour.colouring import ColouringParams, colour_masks
@@ -301,7 +301,7 @@ def sampled_white_circle_measure(theta: float, h: float, points: int = 100_000) 
         raise ValueError(f"polar angle must lie in (0, pi/2], got {theta!r}")
     if points < 1:
         raise ValueError("points must be positive")
-    params = ColouringParams(dim=3, white_bound=h)
+    params = bounds_stand_in(3, h, ColouringParams(dim=3).black_bound)
     u1 = np.array([math.cos(theta), 0.0, -math.sin(theta)])
     u2 = np.array([0.0, 1.0, 0.0])
     s = 2.0 * math.pi * (np.arange(points) + 0.5) / points

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from kscolour import __version__, montecarlo
-from kscolour.cli import main
+from kscolour.cli import EXIT_VERIFICATION, main
+
+from helpers import bounds_stand_in
 
 GOLDEN_SCAN_3_TO_6 = (
     "N,white_fraction,black_fraction,total_fraction\n"
@@ -321,6 +323,27 @@ def test_scan_unwritable_out_is_usage_error(target, tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("error:")
     assert not list(tmp_path.rglob("*.manifest.json"))
+
+
+def test_scan_unwritable_manifest_leaves_no_csv(tmp_path, capsys):
+    # The CSV is written first; when its manifest then cannot be, the
+    # CSV goes too, so no output lacks its manifest.
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    assert main(["scan", "--from", "3", "--to", "5", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
+def test_verify_failure_exits_3(monkeypatch, capsys):
+    # Under caps this wide two orthogonal vectors can both be Black.
+    monkeypatch.setattr(montecarlo, "ColouringParams", lambda dim: bounds_stand_in(dim, 0.1, 0.2))
+    assert main(["verify", "--dim", "3", "--samples", "2000", "--seed", "7"]) == EXIT_VERIFICATION
+    out, _ = capsys.readouterr()
+    assert "result: FAIL" in out
+    assert "orthogonal black pairs: 0" not in out
 
 
 @pytest.mark.parametrize("command", [["basis", "--method", "montecarlo"], ["verify"]])

@@ -15,7 +15,7 @@ from kscolour.colouring import (
     ks_satisfied,
 )
 
-from helpers import is_fully_coloured
+from helpers import bounds_stand_in, is_fully_coloured
 
 P3 = ColouringParams(dim=3)
 P4 = ColouringParams(dim=4)
@@ -46,12 +46,9 @@ def test_params_white_always_below_black():
 def test_params_validation():
     with pytest.raises(ValueError):
         ColouringParams(dim=2)
-    with pytest.raises(ValueError):
-        ColouringParams(dim=3, white_bound=0.9)  # not below black bound
-    with pytest.raises(ValueError):
-        ColouringParams(dim=3, white_bound=-0.1)
-    with pytest.raises(ValueError):
-        ColouringParams(dim=3, black_bound=1.5)
+    # The dimension fixes both bounds; neither is a constructor argument.
+    with pytest.raises(TypeError):
+        ColouringParams(dim=3, white_bound=0.5)
 
 
 def test_colour_truth_values():
@@ -220,10 +217,10 @@ def test_ks_violations_under_nonstandard_bounds():
     tilted = OrthonormalBasis(
         np.array([[s, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, s]])
     )
-    two_black = ColouringParams(dim=3, white_bound=0.1, black_bound=0.2)
+    two_black = bounds_stand_in(3, 0.1, 0.2)
     assert not ks_satisfied(tilted, two_black)
     # Widening the belt swallows a whole basis in White.
-    all_white = ColouringParams(dim=3, white_bound=0.8, black_bound=0.9)
+    all_white = bounds_stand_in(3, 0.8, 0.9)
     b = _tilted_basis_3d()
     assert classify_basis(b, all_white) == [Colour.WHITE] * 3
     assert is_fully_coloured(b, all_white)
@@ -307,8 +304,8 @@ def test_basis_predicates_match_per_vector_colours():
     for dim in (3, 4, 5, 8, 16):
         cases += [(sample_basis(dim, rng), ColouringParams(dim=dim)) for _ in range(100)]
     # Bounds under which the constraints can fail.
-    cases += [(sample_basis(3, rng), ColouringParams(dim=3, white_bound=0.6, black_bound=0.65)) for _ in range(100)]
-    cases += [(sample_basis(3, rng), ColouringParams(dim=3, white_bound=0.1, black_bound=0.2)) for _ in range(100)]
+    cases += [(sample_basis(3, rng), bounds_stand_in(3, 0.6, 0.65)) for _ in range(100)]
+    cases += [(sample_basis(3, rng), bounds_stand_in(3, 0.1, 0.2)) for _ in range(100)]
     satisfied = set()
     for basis, params in cases:
         colours, ok = _per_vector(basis, params)

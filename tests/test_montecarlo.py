@@ -20,7 +20,7 @@ from kscolour.montecarlo import (
     verify_constraints,
 )
 
-from helpers import axis_component_samples, is_fully_coloured, sample_unit_vector
+from helpers import axis_component_samples, bounds_stand_in, is_fully_coloured, sample_unit_vector
 
 
 def test_estimate_validation():
@@ -273,6 +273,27 @@ def test_verify_constraints_all_clean():
         assert report.black_pair_count == 0
         assert report.all_white_count == 0
         assert report.full_without_one_black_count == 0
+
+
+@pytest.mark.parametrize("white_bound, black_bound", [(0.1, 0.2), (0.8, 0.9)], ids=["narrow_caps", "wide_belt"])
+def test_verify_constraints_counts_violations(monkeypatch, white_bound, black_bound):
+    # Under bounds of no colouring the constraints fail; the report must
+    # hold the violations a row-by-row recount of the same draws finds.
+    monkeypatch.setattr(montecarlo, "ColouringParams", lambda dim: bounds_stand_in(dim, white_bound, black_bound))
+    pairs = all_white = bad_full = 0
+    for t in montecarlo._abs_unit_rows(3, 2000, 7):
+        for row in t.tolist():
+            blacks = sum(x > black_bound for x in row)
+            whites = sum(x < white_bound for x in row)
+            pairs += blacks >= 2
+            all_white += whites == len(row)
+            bad_full += blacks + whites == len(row) and blacks != 1
+    report = verify_constraints(3, 2000, 7)
+    assert report == ViolationReport(
+        samples=2000, black_pair_count=pairs, all_white_count=all_white, full_without_one_black_count=bad_full
+    )
+    assert pairs + all_white > 0
+    assert not report.clean
 
 
 def test_verify_constraints_deterministic():
