@@ -268,3 +268,61 @@ def test_unreachable_tolerance_raises():
     for fn in (basis_fraction_3d, basis_fraction_4d):
         with pytest.raises(QuadratureError):
             fn(unreachable)
+
+
+# scan sums Black's series only for its top two dimensions and takes
+# every lower row as black(N) = pre(N) + black(N+2); these tests hold
+# that shared tail to the oracles the per-N functions answer to.
+
+
+def test_scan_matches_betainc_strictly():
+    special = pytest.importorskip("scipy.special")
+    for row in scan(3, 400):
+        b = 0.5 * (row.dim - 1)
+        assert row.white_fraction == pytest.approx(float(special.betainc(0.5, b, 1.0 / row.dim)), rel=1e-13, abs=0.0)
+        assert row.black_fraction == pytest.approx(float(special.betaincc(0.5, b, 0.5)), rel=1e-13, abs=0.0)
+
+
+def test_scan_rows_within_a_few_eps_of_total_fraction():
+    eps = math.ulp(1.0)
+    for row in scan(3, 400):
+        direct = total_fraction(row.dim)
+        assert row.white_fraction == direct.white_fraction
+        assert abs(row.black_fraction - direct.black_fraction) <= 16 * eps * direct.black_fraction
+        assert abs(row.total_fraction - direct.total_fraction) <= 16 * eps * direct.total_fraction
+
+
+@pytest.mark.parametrize("n", [3, 4, 49, 50, 51])
+@pytest.mark.parametrize("width", [0, 1, 2])
+def test_scan_short_ranges(n, width):
+    # Up to two rows are all series; the third is the first recurrence step.
+    eps = math.ulp(1.0)
+    rows = scan(n, n + width)
+    assert [r.dim for r in rows] == list(range(n, n + width + 1))
+    for row in rows:
+        direct = total_fraction(row.dim)
+        assert row.white_fraction == direct.white_fraction
+        if row.dim >= n + width - 1:
+            assert row.black_fraction == direct.black_fraction
+        assert abs(row.black_fraction - direct.black_fraction) <= 16 * eps * direct.black_fraction
+
+
+@pytest.mark.parametrize("n_min, n_max", [(2000, 2300), (10**6, 10**6 + 40)])
+def test_scan_through_underflow_and_far_out(n_min, n_max):
+    # Black(2000) is 3.3e-303 and underflows to 0 within this range;
+    # at N = 1e6 it is 0 throughout and White is near its limit.
+    special = pytest.importorskip("scipy.special")
+    rows = scan(n_min, n_max)
+    assert [r.dim for r in rows] == list(range(n_min, n_max + 1))
+    for row in rows:
+        b = 0.5 * (row.dim - 1)
+        for got, ref in (
+            (row.white_fraction, float(special.betainc(0.5, b, 1.0 / row.dim))),
+            (row.black_fraction, float(special.betaincc(0.5, b, 0.5))),
+        ):
+            assert abs(got - ref) <= max(1e-12, 1e-10 * abs(ref))
+
+
+def test_scan_unreachable_tolerance_raises_over_the_shared_tail():
+    with pytest.raises(QuadratureError):
+        scan(3, 200, QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300))

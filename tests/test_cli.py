@@ -3,11 +3,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from kscolour import __version__, montecarlo
+from kscolour import __version__, cli, montecarlo
+from kscolour.area import argmin_total, total_fraction
 from kscolour.cli import EXIT_VERIFICATION, main
+from kscolour.numerics import QuadratureError
 
 from helpers import bounds_stand_in
 
@@ -335,6 +338,73 @@ def test_scan_unwritable_manifest_leaves_no_csv(tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("error:")
     assert not out.exists()
+
+
+def test_scan_memory_stays_bounded_over_a_wide_range(tmp_path, capsys):
+    # Rows are computed and written a block at a time.  Holding all
+    # 199998 rows and their CSV lines at once peaked at about 56 MB here.
+    out = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        assert main(["scan", "--from", "3", "--to", "200000", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"scan peaked at {peak / 1e6:.1f} MB"
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[0] == f"wrote 199998 rows to {out}"
+
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == cli.CSV_HEADER
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(3, 200001))
+    # Every row on either side of a block boundary, and a stride between.
+    starts = range(3, 200001, cli._SCAN_BLOCK)
+    near_boundary = {n + k for n in starts for k in (-2, -1, 0, 1)}
+    for n_dim in sorted(near_boundary | set(range(3, 200001, 101))):
+        if n_dim < 3 or n_dim > 200000:
+            continue
+        direct = total_fraction(n_dim)
+        got = [float(x) for x in rows[n_dim - 3][1:]]
+        want = (direct.white_fraction, direct.black_fraction, direct.total_fraction)
+        # A subnormal Black has fewer than 12 significant bits to compare.
+        assert got == pytest.approx(want, rel=1e-11, abs=sys.float_info.min)
+
+    best_dim, best_total = argmin_total(3, 200000)
+    assert stdout[-1] == f"least total coloured fraction: N={best_dim} at {format(best_total, '.12g')}"
+
+
+def _scan_failing_on_second_call(monkeypatch):
+    calls = []
+    real_scan = cli.scan
+
+    def scan(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise QuadratureError("second block out of reach")
+        return real_scan(*args)
+
+    monkeypatch.setattr(cli, "scan", scan)
+    return calls
+
+
+def test_scan_failure_partway_leaves_no_csv_or_manifest(tmp_path, monkeypatch, capsys):
+    calls = _scan_failing_on_second_call(monkeypatch)
+    out = tmp_path / "x.csv"
+    assert main(["scan", "--from", "3", "--to", "3000", "--out", str(out)]) == 2
+    assert len(calls) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("numerical failure:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_failure_partway_exits_2_after_the_printed_rows(monkeypatch, capsys):
+    _scan_failing_on_second_call(monkeypatch)
+    assert main(["scan", "--from", "3", "--to", "3000"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == cli.CSV_HEADER
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(3, 3 + cli._SCAN_BLOCK))
 
 
 def test_verify_failure_exits_3(monkeypatch, capsys):
