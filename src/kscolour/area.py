@@ -9,15 +9,18 @@ I_{1/2}((N-1)/2, 1/2).  Both are summed as the positive-term series
 of DLMF 8.17.8, with B(1/2, (N-1)/2) = 1 / surface_ratio(N).
 
 The terms of Black's series at N are the prefactors of the rows N+2,
-N+4, ... (the a -> a+1 recurrence of DLMF 8.17(iv)), so ``scan`` sums
-the series only for its top two dimensions and takes every lower row
-as black(N) = pre(N) + black(N+2).  Its error bound is the bound of
-row N+2 plus the roundings of pre(N) and of the addition, and every
-row is certified.  That Black is within a few eps of scipy's betaincc
-(2.4 eps over N = 3..400).
+N+4, ... (the a -> a+1 recurrence of DLMF 8.17(iv)), so a scan sums
+the series only for the top two dimensions of a block and takes every
+lower row as black(N) = pre(N) + black(N+2).  Its error bound is the
+bound of row N+2 plus the roundings of pre(N) and of the addition, and
+every row is certified.  That Black is within a few eps of scipy's
+betaincc (2.4 eps over N = 3..400).  ``iter_scan`` holds one block of
+1024 dimensions at a time, so its memory stays bounded for any range.
 """
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .numerics import EPS, RANGE_TOL, QuadratureConfig, certify, check_dimension, surface_ratio
@@ -27,6 +30,7 @@ __all__ = [
     "white_fraction",
     "black_fraction",
     "total_fraction",
+    "iter_scan",
     "scan",
     "argmin_total",
     "asymptotic_limit",
@@ -38,6 +42,9 @@ __all__ = [
 # products around it.  Against mpmath the whole prefactor errs by at
 # most 2.5 eps over N = 3..2000 and near each power of ten up to 1e7.
 _PREFACTOR_EPS = 8
+
+# Dimensions per block of ``iter_scan``.
+_SCAN_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,8 @@ def total_fraction(n_dim: int, config: QuadratureConfig | None = None) -> AreaBr
     return AreaBreakdown(n_dim, _white(n_dim, surface, config), _black(n_dim, surface, config))
 
 
-def scan(n_min: int, n_max: int, config: QuadratureConfig | None = None) -> list[AreaBreakdown]:
-    """AreaBreakdown rows for every dimension in [n_min, n_max].
+def _scan_block(n_min: int, n_max: int, config: QuadratureConfig | None) -> list[AreaBreakdown]:
+    """AreaBreakdown rows for every dimension in [n_min, n_max], one sweep.
 
     White is summed per row as in ``total_fraction``.  Black is summed
     by the series only for n_max and n_max - 1; every lower row takes
@@ -146,10 +153,6 @@ def scan(n_min: int, n_max: int, config: QuadratureConfig | None = None) -> list
     with scipy's betaincc to 2.4 eps and with the per-row series to
     4.2 eps.
     """
-    check_dimension(n_min)
-    check_dimension(n_max)
-    if n_max < n_min:
-        raise ValueError(f"empty scan range [{n_min}, {n_max}]")
     dims = range(n_min, n_max + 1)
     surfaces = [surface_ratio(n) for n in dims]
     blacks = [0.0] * len(dims)
@@ -169,6 +172,30 @@ def scan(n_min: int, n_max: int, config: QuadratureConfig | None = None) -> list
     return [AreaBreakdown(n, _white(n, s, config), b) for n, s, b in zip(dims, surfaces, blacks)]
 
 
+def iter_scan(n_min: int, n_max: int, config: QuadratureConfig | None = None) -> Iterator[AreaBreakdown]:
+    """AreaBreakdown rows for every dimension in [n_min, n_max], in order.
+
+    Rows come one ``_scan_block`` of up to _SCAN_BLOCK dimensions at a
+    time.  The range is checked and the first block computed on call,
+    so a refused range or an unreachable tolerance raises before any row.
+    """
+    check_dimension(n_min)
+    check_dimension(n_max)
+    if n_max < n_min:
+        raise ValueError(f"empty scan range [{n_min}, {n_max}]")
+
+    def block(lo: int) -> list[AreaBreakdown]:
+        return _scan_block(lo, min(lo + _SCAN_BLOCK - 1, n_max), config)
+
+    rest = range(n_min + _SCAN_BLOCK, n_max + 1, _SCAN_BLOCK)
+    return itertools.chain(block(n_min), itertools.chain.from_iterable(map(block, rest)))
+
+
+def scan(n_min: int, n_max: int, config: QuadratureConfig | None = None) -> list[AreaBreakdown]:
+    """The rows of ``iter_scan`` as one list."""
+    return list(iter_scan(n_min, n_max, config))
+
+
 def argmin_total(n_min: int, n_max: int, config: QuadratureConfig | None = None) -> tuple[int, float]:
     """Dimension in [n_min, n_max] whose combined coloured fraction is least.
 
@@ -176,8 +203,7 @@ def argmin_total(n_min: int, n_max: int, config: QuadratureConfig | None = None)
     practice; the scan is resolved far below the gaps between
     neighbouring totals.
     """
-    rows = scan(n_min, n_max, config)
-    best = min(rows, key=lambda r: r.total_fraction)
+    best = min(iter_scan(n_min, n_max, config), key=lambda r: r.total_fraction)
     return best.dim, best.total_fraction
 
 

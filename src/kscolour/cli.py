@@ -13,7 +13,6 @@ written), 2 numerical failure, 3 verification failure.
 """
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -23,7 +22,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .area import AreaBreakdown, asymptotic_limit, limit_series, scan, total_fraction
+from .area import AreaBreakdown, asymptotic_limit, iter_scan, limit_series, total_fraction
 from .bases import basis_fraction_3d, basis_fraction_4d
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, check_dimension
 
@@ -150,49 +149,28 @@ def _cmd_area(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Width of the sub-ranges that ``scan`` is called on, so that memory
-# stays bounded however wide the range.
-_SCAN_BLOCK = 1024
-
-
-def _scan_blocks(args: argparse.Namespace, cfg: QuadratureConfig):
-    """``scan`` over consecutive sub-ranges of at most _SCAN_BLOCK dimensions.
-
-    The first sub-range is computed at once and carries scan's checks
-    of the whole range, so a refused range fails before any output.
-    """
-
-    def block(lo: int) -> list[AreaBreakdown]:
-        return scan(lo, min(lo + _SCAN_BLOCK - 1, args.to_dim), cfg)
-
-    rest = range(args.from_dim + _SCAN_BLOCK, args.to_dim + 1, _SCAN_BLOCK)
-    return itertools.chain([block(args.from_dim)], map(block, rest))
-
-
-def _write_scan(blocks, write) -> tuple[int, AreaBreakdown]:
-    """Write the CSV header and rows of ``blocks``; the row count and the least total."""
+def _write_scan(rows, write) -> tuple[int, AreaBreakdown]:
+    """Write the CSV header and ``rows``; the row count and the least total."""
     write(CSV_HEADER)
-    count, best = 0, None
-    for rows in blocks:
-        for r in rows:
-            write(f"{r.dim},{_fmt(r.white_fraction)},{_fmt(r.black_fraction)},{_fmt(r.total_fraction)}")
-            if best is None or r.total_fraction < best.total_fraction:
-                best = r
-        count += len(rows)
+    best = None
+    for count, r in enumerate(rows, 1):
+        write(f"{r.dim},{_fmt(r.white_fraction)},{_fmt(r.black_fraction)},{_fmt(r.total_fraction)}")
+        if best is None or r.total_fraction < best.total_fraction:
+            best = r
     return count, best
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    blocks = _scan_blocks(args, QuadratureConfig(args.abs_tol, args.rel_tol))
+    rows = iter_scan(args.from_dim, args.to_dim, QuadratureConfig(args.abs_tol, args.rel_tol))
     if args.out is None:
-        _, best = _write_scan(blocks, print)
+        _, best = _write_scan(rows, print)
     else:
         fh = open(args.out, "w", encoding="utf-8", newline="")
         # A CSV is never left behind partial or without its manifest.
         try:
             with fh:
-                count, best = _write_scan(blocks, lambda line: fh.write(line + "\n"))
+                count, best = _write_scan(rows, lambda line: fh.write(line + "\n"))
             manifest = RunManifest(
                 command_line="kscolour " + " ".join(args.argv),
                 seed=None,

@@ -51,15 +51,6 @@ class Colour(Enum):
     BLACK = "black"
     UNCOLOURED = "uncoloured"
 
-    @property
-    def truth_value(self) -> int | None:
-        """1 for Black, 0 for White, None when no value is assigned."""
-        if self is Colour.BLACK:
-            return 1
-        if self is Colour.WHITE:
-            return 0
-        return None
-
 
 @dataclass(frozen=True)
 class ColouringParams:

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import pytest
 from helpers import belt_edge_angle, quad
@@ -8,6 +10,7 @@ from kscolour.area import (
     argmin_total,
     asymptotic_limit,
     black_fraction,
+    iter_scan,
     limit_series,
     scan,
     total_fraction,
@@ -326,3 +329,46 @@ def test_scan_through_underflow_and_far_out(n_min, n_max):
 def test_scan_unreachable_tolerance_raises_over_the_shared_tail():
     with pytest.raises(QuadratureError):
         scan(3, 200, QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300))
+
+
+@pytest.mark.parametrize("n_min, n_max", [(3, 2100), (1000, 1030), (1026, 1027)])
+def test_iter_scan_across_block_boundaries(n_min, n_max):
+    # Each block sums Black's series afresh at its top two rows, so the
+    # rows either side of a boundary stay within a few eps of the series,
+    # where Black is normal; from N = 2035 on it is subnormal.
+    eps = math.ulp(1.0)
+    rows = list(iter_scan(n_min, n_max))
+    assert scan(n_min, n_max) == rows
+    assert [r.dim for r in rows] == list(range(n_min, n_max + 1))
+    for row in rows:
+        direct = total_fraction(row.dim)
+        assert row.white_fraction == direct.white_fraction
+        assert abs(row.black_fraction - direct.black_fraction) <= 16 * eps * direct.black_fraction + sys.float_info.min
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((5, 4), ValueError),
+        ((2, 10), ValueError),
+        ((3, 200, QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)), QuadratureError),
+    ],
+    ids=["empty", "dim2", "unreachable"],
+)
+def test_iter_scan_raises_when_called(args, error):
+    # The range is checked and the first block computed before any row
+    # is read, so nothing is iterated here.
+    with pytest.raises(error):
+        iter_scan(*args)
+
+
+def test_argmin_total_holds_one_block_at_a_time():
+    # Holding all 19998 rows at once peaked at about 4.5 MB.
+    tracemalloc.start()
+    try:
+        arg, _ = argmin_total(3, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arg == 13
+    assert peak < 2e6, f"argmin_total peaked at {peak / 1e6:.2f} MB"

@@ -3,11 +3,10 @@ import os
 import shutil
 import subprocess
 import sys
-import tracemalloc
 
 import pytest
 
-from kscolour import __version__, cli, montecarlo
+from kscolour import __version__, area, cli, montecarlo
 from kscolour.area import argmin_total, total_fraction
 from kscolour.cli import EXIT_VERIFICATION, main
 from kscolour.numerics import QuadratureError
@@ -340,51 +339,80 @@ def test_scan_unwritable_manifest_leaves_no_csv(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_scan_memory_stays_bounded_over_a_wide_range(tmp_path, capsys):
-    # Rows are computed and written a block at a time.  Holding all
-    # 199998 rows and their CSV lines at once peaked at about 56 MB here.
+# Runs the CLI in a child of a fresh interpreter, then prints that
+# child's peak RSS in bytes (Linux reports ru_maxrss in KiB, macOS in
+# bytes).  A process keeps through exec the peak of the image it
+# replaces, so a CLI started straight from the test process would report
+# the test process's own peak whenever that is the higher.
+_WITH_PEAK_RSS = (
+    "import resource, subprocess, sys; "
+    "code = subprocess.call([sys.executable, '-m', 'kscolour', *sys.argv[1:]]); "
+    "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss; "
+    "print(rss if sys.platform == 'darwin' else 1024 * rss); sys.exit(code)"
+)
+
+
+def _start_scan_with_peak_rss(to_dim: int, out) -> subprocess.Popen:
+    """``scan --from 3 --to to_dim --out out``, run as ``_WITH_PEAK_RSS`` describes."""
+    return subprocess.Popen(
+        [sys.executable, "-c", _WITH_PEAK_RSS, "scan", "--from", "3", "--to", str(to_dim), "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _stdout_and_peak_rss(proc: subprocess.Popen) -> tuple[list[str], int]:
+    stdout, stderr = proc.communicate()
+    assert proc.returncode == 0, stderr
+    *lines, peak = stdout.splitlines()
+    return lines, int(peak)
+
+
+def test_scan_memory_stays_bounded_over_a_wide_range(tmp_path):
+    # Rows are computed and written a block at a time, so 199998 rows
+    # peak within a block's worth of the same run over 198 rows (20.3 MB
+    # against 19.8 MB on Linux with Python 3.11).  Holding every row and
+    # its CSV line at once peaked at 84 MB.
     out = tmp_path / "wide.csv"
-    tracemalloc.start()
-    try:
-        assert main(["scan", "--from", "3", "--to", "200000", "--out", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6, f"scan peaked at {peak / 1e6:.1f} MB"
-    stdout = capsys.readouterr().out.splitlines()
+    wide = _start_scan_with_peak_rss(200000, out)
+    _, narrow = _stdout_and_peak_rss(_start_scan_with_peak_rss(200, tmp_path / "narrow.csv"))
+    # The references are computed while the wide scan runs: every row on
+    # either side of a block boundary, a stride between, and the minimum.
+    starts = range(3, 200001, area._SCAN_BLOCK)
+    near_boundary = {n + k for n in starts for k in (-2, -1, 0, 1)}
+    checked = sorted(n for n in near_boundary | set(range(3, 200001, 101)) if 3 <= n <= 200000)
+    direct = {n: total_fraction(n) for n in checked}
+    best_dim, best_total = argmin_total(3, 200000)
+
+    stdout, peak = _stdout_and_peak_rss(wide)
+    assert peak - narrow < 8e6, f"scan peaked at {peak / 1e6:.1f} MB against {narrow / 1e6:.1f} MB over 198 rows"
     assert stdout[0] == f"wrote 199998 rows to {out}"
 
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == cli.CSV_HEADER
     rows = [line.split(",") for line in lines[1:]]
     assert [int(r[0]) for r in rows] == list(range(3, 200001))
-    # Every row on either side of a block boundary, and a stride between.
-    starts = range(3, 200001, cli._SCAN_BLOCK)
-    near_boundary = {n + k for n in starts for k in (-2, -1, 0, 1)}
-    for n_dim in sorted(near_boundary | set(range(3, 200001, 101))):
-        if n_dim < 3 or n_dim > 200000:
-            continue
-        direct = total_fraction(n_dim)
+    for n_dim, d in direct.items():
         got = [float(x) for x in rows[n_dim - 3][1:]]
-        want = (direct.white_fraction, direct.black_fraction, direct.total_fraction)
+        want = (d.white_fraction, d.black_fraction, d.total_fraction)
         # A subnormal Black has fewer than 12 significant bits to compare.
         assert got == pytest.approx(want, rel=1e-11, abs=sys.float_info.min)
 
-    best_dim, best_total = argmin_total(3, 200000)
     assert stdout[-1] == f"least total coloured fraction: N={best_dim} at {format(best_total, '.12g')}"
 
 
 def _scan_failing_on_second_call(monkeypatch):
     calls = []
-    real_scan = cli.scan
+    real_block = area._scan_block
 
-    def scan(*args):
+    def scan_block(*args):
         calls.append(args)
         if len(calls) == 2:
             raise QuadratureError("second block out of reach")
-        return real_scan(*args)
+        return real_block(*args)
 
-    monkeypatch.setattr(cli, "scan", scan)
+    monkeypatch.setattr(area, "_scan_block", scan_block)
     return calls
 
 
@@ -404,7 +432,7 @@ def test_scan_failure_partway_exits_2_after_the_printed_rows(monkeypatch, capsys
     assert main(["scan", "--from", "3", "--to", "3000"]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == cli.CSV_HEADER
-    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(3, 3 + cli._SCAN_BLOCK))
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(3, 3 + area._SCAN_BLOCK))
 
 
 def test_verify_failure_exits_3(monkeypatch, capsys):

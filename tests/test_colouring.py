@@ -51,12 +51,6 @@ def test_params_validation():
         ColouringParams(dim=3, white_bound=0.5)
 
 
-def test_colour_truth_values():
-    assert Colour.BLACK.truth_value == 1
-    assert Colour.WHITE.truth_value == 0
-    assert Colour.UNCOLOURED.truth_value is None
-
-
 def test_unit_vector_accepts_unit_input():
     v = UnitVector([0.0, 0.0, 1.0])
     assert v.dim == 3
