@@ -13,10 +13,8 @@ written), 2 numerical failure, 3 verification failure.
 """
 
 import argparse
-import json
 import math
 import os
-import secrets
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -24,7 +22,7 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .area import AreaBreakdown, asymptotic_limit, iter_scan, limit_series, total_fraction
 from .bases import basis_fraction_3d, basis_fraction_4d
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, check_dimension
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, check_dimension, check_run
 
 __all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL", "EXIT_VERIFICATION", "RunManifest", "main", "run"]
 
@@ -57,6 +55,8 @@ class RunManifest:
     wall_time_s: float
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
@@ -93,6 +93,8 @@ def _resolve_seed(args: argparse.Namespace) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    import secrets
+
     return secrets.randbits(63)
 
 
@@ -228,7 +230,9 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     seed = _resolve_seed(args)
-    # Imported here so that the quadrature commands never load numpy.
+    check_run(args.dim, args.samples, seed)
+    # Imported here so that the quadrature commands and a refused run
+    # never load numpy.
     from .montecarlo import CHUNK_SAMPLES, RNG_FAMILY, estimate_basis_fraction
 
     estimate = estimate_basis_fraction(args.dim, args.samples, seed)
@@ -257,9 +261,10 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # Checked before a seed is drawn and numpy loads.
+    # The dimension is checked before a seed is drawn, the run before numpy loads.
     check_dimension(args.dim)
     seed = _resolve_seed(args)
+    check_run(args.dim, args.samples, seed)
     from .montecarlo import RNG_FAMILY, verify_constraints
 
     report = verify_constraints(args.dim, args.samples, seed)
@@ -293,6 +298,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    """Console-script and ``python -m kscolour`` entry: ``main()`` as the exit code.
+
+    The sampling commands make no BLAS call, so numpy's OpenBLAS is
+    held to the calling thread; otherwise its idle workers, one per
+    further core, busy-wait on CPU the run is charged for.  A value
+    already in the environment wins.  Set here, before numpy can load,
+    and not in ``main()``, which in-process callers use.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())
 
 

@@ -35,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .colouring import ColouringParams, OrthonormalBasis, colour_masks
-from .numerics import check_dimension
+from .numerics import MAX_SAMPLED_DIM, check_dimension, check_run, check_seed
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -53,9 +53,8 @@ RNG_FAMILY = "philox4x64"
 
 # Most normals one draw asks for (8 MiB of doubles).  A full chunk fits
 # up to dimension 16; beyond that a chunk is drawn in several slices,
-# down to one row per slice at _MAX_DIM.
-_SLICE_DOUBLES = _MAX_DIM = 1 << 20
-_SEED_LIMIT = 1 << 64
+# down to one row per slice at MAX_SAMPLED_DIM.
+_SLICE_DOUBLES = MAX_SAMPLED_DIM
 _DEGENERATE = 1e-8
 
 
@@ -72,7 +71,7 @@ class Estimate:
             raise ValueError(f"value {self.value!r} outside [0, 1]")
         if self.samples < 1:
             raise ValueError("samples must be positive")
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
     @property
     def std_error(self) -> float:
@@ -102,24 +101,6 @@ class ViolationReport:
     @property
     def clean(self) -> bool:
         return self.total_violations == 0
-
-
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError("seed must be an integer")
-    if not (0 <= seed < _SEED_LIMIT):
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-def _check_run(dim: int, samples: int, seed: int) -> None:
-    check_dimension(dim)
-    if dim > _MAX_DIM:
-        raise ValueError(f"dimension must be at most {_MAX_DIM}, where one row fills a draw")
-    if not isinstance(samples, int) or isinstance(samples, bool):
-        raise ValueError("samples must be an integer")
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    _check_seed(seed)
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -195,7 +176,7 @@ def estimate_vector_fractions(dim: int, samples: int, seed: int) -> tuple[Estima
     (white, black, uncoloured) Estimates.  The uncoloured value is the
     complement 1 - white - black, so the three values sum to 1 exactly.
     """
-    _check_run(dim, samples, seed)
+    check_run(dim, samples, seed)
     params = ColouringParams(dim=dim)
     white_count = 0
     black_count = 0
@@ -223,7 +204,7 @@ def estimate_basis_fraction(dim: int, samples: int, seed: int) -> Estimate:
     represented by its distinguished row, drawn from the same chunked
     streams as estimate_vector_fractions.
     """
-    _check_run(dim, samples, seed)
+    check_run(dim, samples, seed)
     params = ColouringParams(dim=dim)
     hits = 0
     for t in _abs_unit_rows(dim, samples, seed):
@@ -241,7 +222,7 @@ def verify_constraints(dim: int, samples: int, seed: int) -> ViolationReport:
     all three counts must be zero; any non-zero count falsifies the
     geometry, not the sampler.
     """
-    _check_run(dim, samples, seed)
+    check_run(dim, samples, seed)
     params = ColouringParams(dim=dim)
     pairs = 0
     all_white = 0

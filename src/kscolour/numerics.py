@@ -80,6 +80,34 @@ def check_dimension(n_dim: int) -> None:
         raise ValueError(f"dimension must be at least 3, got {n_dim}")
 
 
+# A Monte Carlo draw holds at most MAX_SAMPLED_DIM normals, so a run above
+# that dimension, whose one row would exceed it, is refused.  The run
+# checks live here, without numpy, so that the CLI refuses a bad run
+# before it loads the sampling layer.
+MAX_SAMPLED_DIM = 1 << 20
+SEED_LIMIT = 1 << 64
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is an unsigned 64-bit integer."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError("seed must be an integer")
+    if not (0 <= seed < SEED_LIMIT):
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+
+def check_run(dim: int, samples: int, seed: int) -> None:
+    """Raise ValueError unless (dim, samples, seed) is a Monte Carlo run that can be drawn."""
+    check_dimension(dim)
+    if dim > MAX_SAMPLED_DIM:
+        raise ValueError(f"dimension must be at most {MAX_SAMPLED_DIM}, where one row fills a draw")
+    if not isinstance(samples, int) or isinstance(samples, bool):
+        raise ValueError("samples must be an integer")
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    check_seed(seed)
+
+
 def surface_ratio(n_dim: int) -> float:
     """vol(S^(n-2)) / vol(S^(n-1)), the equator-to-sphere surface ratio in R^n.
 

@@ -14,6 +14,7 @@ import pytest
 
 from kscolour import montecarlo
 from kscolour.colouring import Colour, ColouringParams, OrthonormalBasis, UnitVector, colour_of
+from kscolour.numerics import check_run
 
 
 def belt_edge_angle(n_dim: int) -> float:
@@ -57,7 +58,7 @@ def axis_component_samples(dim: int, samples: int, seed: int) -> np.ndarray:
     checks against the exact marginal density proportional to
     (1 - t^2)^((dim-3)/2).
     """
-    montecarlo._check_run(dim, samples, seed)
+    check_run(dim, samples, seed)
     out = np.empty(samples)
     start = 0
     for rows, norms in montecarlo._row_stream(dim, samples, seed):

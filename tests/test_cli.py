@@ -487,3 +487,97 @@ def test_scan_to_csv_runs_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == GOLDEN_SCAN_3_TO_6.encode("utf-8")
     assert json.loads((tmp_path / "scan.csv.manifest.json").read_text())["seed"] is None
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (("verify", "--dim", "3", "--samples", "0"), "error: samples must be positive, got 0\n"),
+        (("verify", "--dim", "3", "--seed", "-1"), "error: seed must fit in an unsigned 64-bit integer\n"),
+        (
+            ("basis", "--dim", "3", "--method", "montecarlo", "--samples", "0"),
+            "error: samples must be positive, got 0\n",
+        ),
+        (
+            ("verify", "--dim", "1048577", "--samples", "1", "--seed", "1"),
+            "error: dimension must be at most 1048576, where one row fills a draw\n",
+        ),
+        (
+            ("basis", "--dim", "1048577", "--method", "montecarlo", "--samples", "1", "--seed", "1"),
+            "error: dimension must be at most 1048576, where one row fills a draw\n",
+        ),
+    ],
+    ids=["verify_samples", "verify_seed", "basis_samples", "verify_dim", "basis_dim"],
+)
+def test_montecarlo_refusals_run_without_numpy(args, expected):
+    # A run the sampling layer would refuse is refused before it loads.
+    blocked = run_cli(*args, without_numpy=True)
+    assert (blocked.stdout, blocked.stderr, blocked.returncode) == ("", expected, 1)
+    plain = run_cli(*args)
+    assert (plain.stdout, plain.stderr, plain.returncode) == ("", expected, 1)
+
+
+def cli_then_report(report: str, *args: str) -> str:
+    """Run the CLI by runpy in a child interpreter, then print its exit code and ``report`` there.
+
+    Returns that last line, which sees the state the command left behind.
+    """
+    script = (
+        "import os, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('kscolour', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        f"    print(exc.code, {report})\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("KSCOLOUR_SEED", "OPENBLAS_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
+def test_sampling_command_runs_on_one_thread():
+    # numpy's OpenBLAS would otherwise start one idle worker per further core.
+    threads = "len(os.listdir('/proc/self/task'))"
+    assert cli_then_report(threads, "verify", "--dim", "3", "--samples", "1000", "--seed", "1") == "0 1"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")], ids=["unset", "preset"])
+def test_run_defaults_openblas_to_one_thread_unless_set(preset, expected, monkeypatch):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(os.environ["OPENBLAS_NUM_THREADS"]) or 0)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 0
+    assert seen == [expected]
+
+
+def test_main_leaves_the_environment_unchanged(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("KSCOLOUR_SEED", raising=False)
+    before = dict(os.environ)
+    assert main(["verify", "--dim", "3", "--samples", "1000", "--seed", "1"]) == 0
+    assert main(["basis", "--dim", "3", "--method", "montecarlo", "--samples", "1000"]) == 0
+    assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (("area", "--dim", "3"), []),
+        (("scan", "--from", "3", "--to", "6"), []),
+        (("limit",), []),
+        (("basis", "--dim", "3"), []),
+        (("scan", "--from", "3", "--to", "6", "--out", "{out}"), ["json"]),
+    ],
+    ids=["area", "scan", "limit", "basis3", "scan_out"],
+)
+def test_commands_load_only_what_they_use(args, loaded, tmp_path):
+    # secrets is for a seed drawn from entropy, json for the scan manifest.
+    report = "sorted(m for m in ('json', 'numpy', 'secrets') if m in sys.modules)"
+    args = [a.format(out=tmp_path / "scan.csv") for a in args]
+    assert cli_then_report(report, *args) == f"0 {loaded}"

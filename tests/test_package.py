@@ -101,3 +101,9 @@ def test_benchmark_tracer_wraps_lazy_names_once_and_restores_them(monkeypatch):
     finally:
         tracer.uninstall()
     assert {name: vars(kscolour)[name] for name in kscolour.__all__} == before
+
+
+def test_import_leaves_the_environment_unchanged():
+    code = "import os; env = dict(os.environ); import kscolour, kscolour.cli; print(dict(os.environ) == env)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "True"
