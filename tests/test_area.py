@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from helpers import belt_edge_angle, quad
 
+from kscolour import area, cli
 from kscolour.area import (
     AreaBreakdown,
     argmin_total,
@@ -372,3 +373,96 @@ def test_argmin_total_holds_one_block_at_a_time():
         tracemalloc.stop()
     assert arg == 13
     assert peak < 2e6, f"argmin_total peaked at {peak / 1e6:.2f} MB"
+
+
+# White is F(1/N) times its prefactor, F summed as a Taylor polynomial in
+# y = 1/N whose degree is fixed per octave of N.  These tests hold the
+# coefficient table and the octave degrees to mpmath, and the sums to
+# scipy and to the term-by-term series of DLMF 8.17.8.
+
+
+def _white_taylor_mp(mpmath, degree):
+    # E_j is the y^j coefficient of sum_n prod_(k<n) (1/2 + k y)/(3/2 + k);
+    # term n's coefficients shrink like 1/n!, and 150 terms leave them
+    # unchanged at 50 digits.
+    term = [mpmath.mpf(1)] + [mpmath.mpf(0)] * degree
+    coeffs = [mpmath.mpf(0)] * (degree + 1)
+    for k in range(150):
+        coeffs = [c + t for c, t in zip(coeffs, term)]
+        term = [(term[j] / 2 + (k * term[j - 1] if j else 0)) / (k + mpmath.mpf(3) / 2) for j in range(degree + 1)]
+    return coeffs
+
+
+def _white_f_mp(mpmath, y):
+    # The same series in closed form: 2F1(1/(2y), 1; 3/2; y).
+    return mpmath.hyp2f1(1 / (2 * y), 1, mpmath.mpf(3) / 2, y)
+
+
+def test_white_coefficients_within_an_ulp_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        exact = _white_taylor_mp(mpmath, len(area._WHITE_COEFFS) - 1)
+        for stored, true in zip(area._WHITE_COEFFS, exact):
+            assert abs(mpmath.mpf(stored) - true) <= math.ulp(stored)
+
+
+def test_white_octave_degrees_bound_the_dropped_terms():
+    # F(R) as stored is an upper bound, each octave's degree is the least
+    # whose Cauchy tail at the octave's largest y meets _WHITE_TAIL, and
+    # the true remainder there is within _WHITE_TAIL as well.  The terms
+    # are positive, so the largest y is the octave's worst case.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        radius = mpmath.mpf(area._WHITE_RADIUS)
+        assert mpmath.mpf(area._WHITE_F_AT_RADIUS) >= _white_f_mp(mpmath, radius)
+        coeffs = _white_taylor_mp(mpmath, len(area._WHITE_COEFFS) - 1)
+        tail_bound = mpmath.mpf(area._WHITE_TAIL)
+
+        def cauchy_tail(y, degree):
+            q = y / radius
+            return mpmath.mpf(area._WHITE_F_AT_RADIUS) * q ** (degree + 1) / (1 - q)
+
+        for octave, degree in enumerate(area._WHITE_DEGREES, start=2):
+            y = mpmath.mpf(1) / max(3, 2 ** (octave - 1))
+            assert cauchy_tail(y, degree) <= tail_bound
+            assert degree == 0 or cauchy_tail(y, degree - 1) > tail_bound
+            remainder = _white_f_mp(mpmath, y) - mpmath.fsum(coeffs[j] * y**j for j in range(degree + 1))
+            assert 0 <= remainder <= tail_bound
+        assert area._WHITE_DEGREES[-1] == 0
+
+
+def _white_by_series(n_dim):
+    # The term-by-term route: DLMF 8.17.8 summed until a term drops below
+    # eps of the sum, with the prefactor _white uses.
+    x = 1.0 / n_dim
+    b = 0.5 * (n_dim - 1)
+    prefactor = 2.0 * math.sqrt(x) * math.exp(b * math.log1p(-x)) * surface_ratio(n_dim)
+    return area._beta_series(x, 0.5, b, prefactor)[0]
+
+
+def test_white_where_the_degree_changes_matches_betainc():
+    # The last and first N of each octave from N = 3 on, the top of the
+    # documented range, and the last octave of the table and one above it.
+    special = pytest.importorskip("scipy.special")
+    dims = [n for k in range(2, 24) for n in (2**k - 1, 2**k)] + [10**7, 2**58, 2**62]
+    for n_dim in dims:
+        ref = float(special.betainc(0.5, 0.5 * (n_dim - 1), 1.0 / n_dim))
+        assert white_fraction(n_dim) == pytest.approx(ref, rel=1e-13, abs=0.0), n_dim
+
+
+def test_white_matches_the_series_route():
+    eps = math.ulp(1.0)
+    for n_dim in range(3, 5001):
+        series = _white_by_series(n_dim)
+        assert abs(white_fraction(n_dim) - series) <= 8 * eps * series, n_dim
+
+
+def test_scan_cli_prints_the_series_route_digits(capsys):
+    assert cli.main(["scan", "--from", "3", "--to", "5000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = [cli.CSV_HEADER]
+    for row in scan(3, 5000):
+        white = _white_by_series(row.dim)
+        black = row.black_fraction
+        expected.append(f"{row.dim},{cli._fmt(white)},{cli._fmt(black)},{cli._fmt(white + black)}")
+    assert lines[: len(expected)] == expected

@@ -1,6 +1,7 @@
 """The package root: its public names, and numpy loaded only on first use
 of the sampling layers."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -107,3 +108,12 @@ def test_import_leaves_the_environment_unchanged():
     code = "import os; env = dict(os.environ); import kscolour, kscolour.cli; print(dict(os.environ) == env)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "True"
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, so no source may use
+    # newer syntax, whichever interpreter runs the suite.
+    paths = sorted(path for top in ("src", "tests", "benchmarks", "perfbench") for path in (ROOT / top).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
