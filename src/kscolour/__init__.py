@@ -25,9 +25,7 @@ from .numerics import *
 _LAZY = (
     "Colour",
     "ColouringParams",
-    "UnitVector",
     "OrthonormalBasis",
-    "colour_of",
     "classify_basis",
     "ks_satisfied",
     "Estimate",

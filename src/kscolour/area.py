@@ -131,7 +131,11 @@ def _beta_series(x: float, a: float, b: float, prefactor: float) -> tuple[float,
     at most 2n eps relative after n terms.  The caller certifies the
     pair (see ``numerics.certify``).  The library sums Black's series
     with it; White's, in the tests, is a second route to ``_white``.
+    A prefactor that has underflowed to 0 (Black's, from N = 2139 on)
+    gives (0.0, 0.0) without summing.
     """
+    if prefactor == 0.0:
+        return 0.0, 0.0
     total = term = 1.0
     n = 0
     while term > EPS * total:

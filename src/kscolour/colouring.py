@@ -1,4 +1,4 @@
-"""Cap-and-belt colouring of unit vectors in R^N and the basis predicates.
+"""Cap-and-belt colouring of R^N and its predicates on orthonormal bases.
 
 The distinguished component of a vector is its last coordinate.  A
 direction is Black when that component exceeds the cap bound in
@@ -23,10 +23,8 @@ from .numerics import check_dimension
 __all__ = [
     "Colour",
     "ColouringParams",
-    "UnitVector",
     "OrthonormalBasis",
     "colour_masks",
-    "colour_of",
     "classify_basis",
     "ks_satisfied",
     "NORM_TOLERANCE",
@@ -35,7 +33,7 @@ __all__ = [
 ]
 
 # |norm - 1| up to NORM_TOLERANCE is accepted as already unit; up to
-# RENORM_TOLERANCE the vector is silently renormalized; beyond that
+# RENORM_TOLERANCE a basis column is silently renormalized; beyond that
 # construction fails.
 NORM_TOLERANCE = 1e-12
 RENORM_TOLERANCE = 1e-9
@@ -97,38 +95,14 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class UnitVector:
-    """A unit vector in R^N with a frozen component array.
-
-    Inputs whose norm deviates from 1 by more than ``NORM_TOLERANCE``
-    but at most ``RENORM_TOLERANCE`` are renormalized; larger
-    deviations are rejected.
-    """
-
-    components: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.components, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("components must be one-dimensional")
-        if arr.shape[0] < 1:
-            raise ValueError("components must be non-empty")
-        arr = _unit_columns(arr[:, None])[:, 0]
-        arr.flags.writeable = False
-        object.__setattr__(self, "components", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """An ordered orthonormal basis of R^N: column j of ``matrix`` is vector j.
 
-    The matrix is copied to float and must be square and non-empty.  Its
-    columns must be unit vectors, under the rule UnitVector applies, and
-    pairwise orthogonal.  The copy is kept read-only.
+    The matrix is copied to float and must be square, non-empty and
+    finite.  A column whose norm is within ``NORM_TOLERANCE`` of 1 keeps
+    its bits, one within ``RENORM_TOLERANCE`` is divided by its norm, and
+    any other is refused.  The columns must be pairwise orthogonal to
+    within ``ORTHO_TOLERANCE``.  The copy is kept read-only.
     """
 
     matrix: np.ndarray
@@ -150,10 +124,6 @@ class OrthonormalBasis:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __iter__(self):
-        """One UnitVector per column, in basis order."""
-        return (UnitVector(column) for column in self.matrix.T)
-
 
 def colour_masks(t: float | np.ndarray, params: ColouringParams) -> tuple:
     """(white, black) tests on absolute distinguished components ``t``.
@@ -171,13 +141,6 @@ def _colour(white: bool, black: bool) -> Colour:
     if white:
         return Colour.WHITE
     return Colour.UNCOLOURED
-
-
-def colour_of(vector: UnitVector, params: ColouringParams) -> Colour:
-    """Colour of one unit vector under the given cap and belt bounds."""
-    if vector.dim != params.dim:
-        raise ValueError(f"vector dimension {vector.dim} does not match params dimension {params.dim}")
-    return _colour(*colour_masks(abs(float(vector.components[-1])), params))
 
 
 def _row_masks(basis: OrthonormalBasis, params: ColouringParams) -> list[tuple[bool, bool]]:

@@ -5,6 +5,7 @@ surface ratio that the area fractions are written in terms of.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -52,6 +53,9 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 # black regions overlap.
 RANGE_TOL = 1e-12
 EPS = math.ulp(1.0)
+# The largest accepted dimension: the largest float, as an integer, since
+# every layer computes with the dimension as a float.
+MAX_DIM = int(sys.float_info.max)
 
 
 def certify(value: float, bound: float, config: QuadratureConfig | None) -> float:
@@ -68,16 +72,19 @@ def certify(value: float, bound: float, config: QuadratureConfig | None) -> floa
     return value
 
 
-def check_dimension(n_dim: int) -> None:
-    """Raise ValueError unless ``n_dim`` is an integer of at least 3.
+def check_dimension(n_dim: int, least: int = 3) -> None:
+    """Raise ValueError unless ``n_dim`` is an integer from ``least`` to MAX_DIM.
 
     The colouring, its area and basis fractions and the Monte Carlo
-    runs are all defined from R^3 on.
+    runs are all defined from R^3 on, and computed in floats, so the
+    dimension must also convert to one.
     """
     if not isinstance(n_dim, int) or isinstance(n_dim, bool):
         raise ValueError("dimension must be an integer")
-    if n_dim < 3:
-        raise ValueError(f"dimension must be at least 3, got {n_dim}")
+    if n_dim < least:
+        raise ValueError(f"dimension must be at least {least}, got {n_dim}")
+    if n_dim > MAX_DIM:
+        raise ValueError(f"dimension must be at most {sys.float_info.max!r}, the largest float")
 
 
 # A Monte Carlo draw holds at most MAX_SAMPLED_DIM normals, so a run above
@@ -120,10 +127,7 @@ def surface_ratio(n_dim: int) -> float:
     error is 1.5 eps below n = 50 and 2.2 eps above (at n = 51).  Grows
     like sqrt(n / (2*pi)).
     """
-    if not isinstance(n_dim, int) or isinstance(n_dim, bool):
-        raise ValueError("dimension must be an integer")
-    if n_dim < 2:
-        raise ValueError("dimension must be at least 2")
+    check_dimension(n_dim, least=2)
     if n_dim < 50:
         return math.gamma(0.5 * n_dim) / (math.gamma(0.5 * (n_dim - 1)) * math.sqrt(math.pi))
     x = 0.5 * (n_dim - 1)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from kscolour import montecarlo
-from kscolour.colouring import Colour, ColouringParams, OrthonormalBasis, UnitVector, colour_of
+from kscolour.colouring import Colour, ColouringParams, OrthonormalBasis
 from kscolour.numerics import check_run
 
 
@@ -42,12 +42,12 @@ def quad(f, a: float, b: float, epsabs: float = 1e-14) -> float:
     return value
 
 
-def sample_unit_vector(dim: int, rng: np.random.Generator) -> UnitVector:
+def sample_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """One uniformly distributed unit vector in R^dim."""
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("dimension must be a positive integer")
     rows, norms = montecarlo._normal_rows(dim, 1, rng)
-    return UnitVector(rows[0] / norms[0])
+    return rows[0] / norms[0]
 
 
 def axis_component_samples(dim: int, samples: int, seed: int) -> np.ndarray:
@@ -67,13 +67,27 @@ def axis_component_samples(dim: int, samples: int, seed: int) -> np.ndarray:
     return out
 
 
-def is_fully_coloured(basis: OrthonormalBasis, params: ColouringParams) -> bool:
-    """True when no vector of the basis is Uncoloured.
+def column_colours(basis: OrthonormalBasis, params: ColouringParams) -> list[Colour]:
+    """Colours of the basis vectors, each column coloured on its own.
 
-    Colours each vector on its own with colour_of, a route independent
-    of classify_basis's one read of the distinguished row.
+    Compares each column's |last component| with the bounds by explicit
+    strict ``<`` and ``>``, sharing no code with the library's predicate.
     """
-    return all(colour_of(v, params) is not Colour.UNCOLOURED for v in basis)
+    colours = []
+    for j in range(basis.dim):
+        t = abs(float(basis.matrix[-1, j]))
+        if t > params.black_bound:
+            colours.append(Colour.BLACK)
+        elif t < params.white_bound:
+            colours.append(Colour.WHITE)
+        else:
+            colours.append(Colour.UNCOLOURED)
+    return colours
+
+
+def is_fully_coloured(basis: OrthonormalBasis, params: ColouringParams) -> bool:
+    """True when no vector of the basis is Uncoloured, by ``column_colours``."""
+    return Colour.UNCOLOURED not in column_colours(basis, params)
 
 
 def bounds_stand_in(dim: int, white_bound: float, black_bound: float) -> SimpleNamespace:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import sys
 import tracemalloc
 
@@ -86,9 +88,12 @@ def test_breakdown_validation():
 
 
 def test_dimension_validation():
-    for bad in (2, 0, -3, 3.5, True):
+    for bad in (2, 0, -3, 3.5, True, 10**400):
         with pytest.raises(ValueError):
             white_fraction(bad)  # type: ignore[arg-type]
+    with pytest.raises(ValueError, match="at most"):
+        total_fraction(10**400)
+    assert 0.0 < total_fraction(int(sys.float_info.max)).white_fraction < 1.0
     with pytest.raises(ValueError):
         scan(3, 2)
     with pytest.raises(ValueError):
@@ -325,6 +330,22 @@ def test_scan_through_underflow_and_far_out(n_min, n_max):
             (row.black_fraction, float(special.betaincc(0.5, b, 0.5))),
         ):
             assert abs(got - ref) <= max(1e-12, 1e-10 * abs(ref))
+
+
+def test_black_after_its_prefactor_underflows_keeps_its_bits():
+    # From N = 2139 on, Black's series prefactor is exactly 0 and so is
+    # Black.  The values and the digest of scan(2100, 2200)'s rows, each
+    # packed as struct "<qdd" (dim, white, black), were taken from the
+    # series summed in full.
+    pins = ((2138, 0.6825762762199026, 1e-323), (2139, 0.682576329167833, 0.0), (10**4, 0.6826652932497427, 0.0))
+    for n, white, black in pins:
+        row = total_fraction(n)
+        assert (row.white_fraction, row.black_fraction) == (white, black)
+        assert black_fraction(n) == black
+    digest = hashlib.sha256()
+    for row in scan(2100, 2200):
+        digest.update(struct.pack("<qdd", row.dim, row.white_fraction, row.black_fraction))
+    assert digest.hexdigest() == "f108511e11be0e62ffac20eccc69a54936e4e174fd732640fb8b1374e6f85e68"
 
 
 def test_scan_unreachable_tolerance_raises_over_the_shared_tail():

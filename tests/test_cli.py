@@ -40,6 +40,9 @@ GOLDEN_BASIS_4 = (
 )
 
 
+# The refusal of a dimension that converts to no float.
+BEYOND_FLOAT = "dimension must be at most 1.7976931348623157e+308, the largest float"
+
 # Runs the CLI with every import of numpy failing.
 _WITHOUT_NUMPY = "import sys, runpy; sys.modules['numpy'] = None; runpy.run_module('kscolour', run_name='__main__')"
 
@@ -285,6 +288,8 @@ def test_basis_failure_leaves_stdout_empty(args, code, capsys):
         (["area", "--dim", "2"], "dimension must be at least 3, got 2"),
         (["scan", "--from", "2", "--to", "5"], "dimension must be at least 3, got 2"),
         (["scan", "--from", "5", "--to", "4"], "empty scan range [5, 4]"),
+        (["area", "--dim", str(10**400)], BEYOND_FLOAT),
+        (["scan", "--from", str(10**400), "--to", str(10**400)], BEYOND_FLOAT),
         (["limit", "--series-terms", "-1"], "k_max must be non-negative, got -1"),
         (["basis", "--dim", "2"], "dimension must be at least 3, got 2"),
         (["basis", "--dim", "2", "--method", "montecarlo"], "dimension must be at least 3, got 2"),
@@ -296,6 +301,8 @@ def test_basis_failure_leaves_stdout_empty(args, code, capsys):
         "area_dim2",
         "scan_from2",
         "scan_empty",
+        "area_beyond_float",
+        "scan_beyond_float",
         "limit_negative",
         "basis_dim2",
         "basis_mc_dim2",

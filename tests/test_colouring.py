@@ -8,14 +8,13 @@ from kscolour.colouring import (
     Colour,
     ColouringParams,
     OrthonormalBasis,
-    UnitVector,
     classify_basis,
     colour_masks,
-    colour_of,
     ks_satisfied,
 )
+from kscolour.montecarlo import sample_basis
 
-from helpers import bounds_stand_in, is_fully_coloured
+from helpers import bounds_stand_in, column_colours, is_fully_coloured
 
 P3 = ColouringParams(dim=3)
 P4 = ColouringParams(dim=4)
@@ -46,46 +45,11 @@ def test_params_white_always_below_black():
 def test_params_validation():
     with pytest.raises(ValueError):
         ColouringParams(dim=2)
+    with pytest.raises(ValueError, match="at most"):
+        ColouringParams(dim=10**400)
     # The dimension fixes both bounds; neither is a constructor argument.
     with pytest.raises(TypeError):
         ColouringParams(dim=3, white_bound=0.5)
-
-
-def test_unit_vector_accepts_unit_input():
-    v = UnitVector([0.0, 0.0, 1.0])
-    assert v.dim == 3
-    assert float(np.linalg.norm(v.components)) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_unit_vector_renormalizes_small_deviation():
-    v = UnitVector(np.array([0.0, 0.0, 1.0 + 2e-10]))
-    assert float(np.linalg.norm(v.components)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_unit_vector_rejects_large_deviation():
-    with pytest.raises(ValueError):
-        UnitVector([0.0, 0.0, 1.5])
-    with pytest.raises(ValueError):
-        UnitVector([0.0, 0.0, 0.0])
-
-
-def test_unit_vector_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        UnitVector(np.eye(2))
-    with pytest.raises(ValueError):
-        UnitVector([])
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            UnitVector([0.0, bad, 0.0])
-    # Finite components whose squares overflow fail on their norm.
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="deviates"):
-        UnitVector([1e200, 0.0, 0.0])
-
-
-def test_unit_vector_components_frozen():
-    v = UnitVector([1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        v.components[0] = 0.5
 
 
 def test_basis_construction_and_matrix_roundtrip():
@@ -94,16 +58,6 @@ def test_basis_construction_and_matrix_roundtrip():
     assert np.array_equal(b.matrix, np.eye(4))
     again = OrthonormalBasis(b.matrix)
     assert np.array_equal(again.matrix, np.eye(4))
-
-
-def test_basis_iterates_unit_vectors_equal_to_its_columns():
-    rng = np.random.default_rng(11)
-    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    b = OrthonormalBasis(q)
-    units = list(b)
-    assert len(units) == 5 and all(isinstance(v, UnitVector) for v in units)
-    for j, v in enumerate(units):
-        assert np.array_equal(v.components, b.matrix[:, j])
 
 
 def test_basis_renormalizes_small_column_deviation():
@@ -116,10 +70,13 @@ def test_basis_renormalizes_small_column_deviation():
 
 
 def test_basis_rejects_large_column_deviation():
-    m = np.eye(3)
-    m[:, 2] *= 1.0 + 1e-6
-    with pytest.raises(ValueError, match="deviates"):
-        OrthonormalBasis(m)
+    # A column off unit norm by 1e-6, scaled to 1.5, zero, or so large
+    # that its squared norm overflows.
+    for column, scale in ((2, 1.0 + 1e-6), (2, 1.5), (1, 0.0), (0, 1e200)):
+        m = np.eye(3)
+        m[:, column] *= scale
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="deviates"):
+            OrthonormalBasis(m)
 
 
 def test_basis_rejects_non_finite_entries():
@@ -155,40 +112,24 @@ def test_basis_rejects_non_square():
             OrthonormalBasis(bad)
 
 
-def test_colour_of_cap_belt_and_gap():
-    assert colour_of(UnitVector([0.0, 0.0, 1.0]), P3) is Colour.BLACK
-    assert colour_of(UnitVector([1.0, 0.0, 0.0]), P3) is Colour.WHITE
-    # |component| = 0.6 sits between 1/sqrt(3) and 1/sqrt(2)
-    assert colour_of(UnitVector([0.0, 0.8, 0.6]), P3) is Colour.UNCOLOURED
+def test_classify_cap_belt_and_gap():
+    # Columns with last components 0, 0.6 and 0.8: 0.6 sits between
+    # 1/sqrt(3) and 1/sqrt(2).
+    b = OrthonormalBasis(np.array([[1.0, 0.0, 0.0], [0.0, 0.8, -0.6], [0.0, 0.6, 0.8]]))
+    assert classify_basis(b, P3) == [Colour.WHITE, Colour.UNCOLOURED, Colour.BLACK]
 
 
-def test_colour_of_boundaries_are_uncoloured():
-    s = math.sqrt(0.5)
-    assert colour_of(UnitVector([s, 0.0, s]), P3) is Colour.UNCOLOURED
-    w = 1.0 / math.sqrt(3.0)
-    assert colour_of(UnitVector([math.sqrt(1.0 - w * w), 0.0, w]), P3) is Colour.UNCOLOURED
-    # all components exactly on the dim-4 belt bound
-    assert colour_of(UnitVector([0.5, 0.5, 0.5, 0.5]), P4) is Colour.UNCOLOURED
-
-
-def test_colour_masks_on_arrays_match_colour_of():
+def test_colour_masks_on_arrays_match_scalars():
     # The estimators classify arrays of |components| with the predicate
-    # colour_of applies to one vector, boundaries included.
+    # the basis predicates apply to one component, boundaries included.
     w, b = P3.white_bound, P3.black_bound
     t = np.array(
         [0.0, np.nextafter(w, 0.0), w, np.nextafter(w, 1.0), 0.65, np.nextafter(b, 0.0), b, np.nextafter(b, 1.0), 1.0]
     )
     white, black = colour_masks(t, P3)
+    assert white.tolist() == [True, True] + [False] * 7
+    assert black.tolist() == [False] * 7 + [True, True]
     assert [colour_masks(float(x), P3) for x in t] == list(zip(white.tolist(), black.tolist()))
-    colours = [colour_of(UnitVector([math.sqrt(1.0 - x * x), 0.0, x]), P3) for x in t]
-    expected = [Colour.BLACK if k else Colour.WHITE if h else Colour.UNCOLOURED for h, k in zip(white, black)]
-    assert colours == expected
-    assert colours.count(Colour.UNCOLOURED) == 5
-
-
-def test_colour_of_dimension_mismatch():
-    with pytest.raises(ValueError):
-        colour_of(UnitVector([1.0, 0.0, 0.0, 0.0]), P3)
 
 
 def test_classify_standard_basis():
@@ -221,22 +162,20 @@ def test_ks_violations_under_nonstandard_bounds():
     assert not ks_satisfied(b, all_white)
 
 
-@given(st.integers(min_value=0, max_value=10**6))
-def test_antipodal_symmetry(index):
-    rng = np.random.default_rng(index)
-    x = rng.standard_normal(3)
-    v = UnitVector(x / np.linalg.norm(x))
-    assert colour_of(v, P3) is colour_of(UnitVector(-v.components), P3)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(0, 2))
+def test_antipodal_symmetry(index, column):
+    b = sample_basis(3, np.random.default_rng(index))
+    m = b.matrix.copy()
+    m[:, column] *= -1.0
+    assert classify_basis(OrthonormalBasis(m), P3) == classify_basis(b, P3)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.floats(0.0, 2.0 * math.pi))
 def test_rotation_about_axis_preserves_colour(index, angle):
-    rng = np.random.default_rng(index)
-    x = rng.standard_normal(3)
-    v = UnitVector(x / np.linalg.norm(x))
+    b = sample_basis(3, np.random.default_rng(index))
     c, s = math.cos(angle), math.sin(angle)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    assert colour_of(UnitVector(rot @ v.components), P3) is colour_of(v, P3)
+    assert classify_basis(OrthonormalBasis(rot @ b.matrix), P3) == classify_basis(b, P3)
 
 
 def _random_orthonormal_pairs(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -261,8 +200,6 @@ def test_no_orthogonal_black_pair_exists():
 
 
 def test_fully_coloured_implies_exactly_one_black():
-    from kscolour.montecarlo import sample_basis
-
     rng = np.random.default_rng(7)
     for dim in (3, 4, 5):
         params = ColouringParams(dim=dim)
@@ -276,7 +213,7 @@ def test_fully_coloured_implies_exactly_one_black():
 
 def _per_vector(basis: OrthonormalBasis, params: ColouringParams) -> tuple[list[Colour], bool]:
     """Colours and the two constraints, each vector coloured on its own."""
-    colours = [colour_of(v, params) for v in basis]
+    colours = column_colours(basis, params)
     return colours, colours.count(Colour.BLACK) <= 1 and colours.count(Colour.WHITE) < len(colours)
 
 
@@ -286,12 +223,14 @@ def _boundary_bases() -> list[tuple[OrthonormalBasis, ColouringParams]]:
     on_cap = OrthonormalBasis(np.array([[s, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, s]]))
     # Hadamard / 2: every component exactly on the dim-4 belt bound.
     h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
-    return [(on_cap, P3), (OrthonormalBasis(h), P4), (_tilted_basis_3d(), P3)]
+    # Last row (w, 0, c): the first component exactly on the dim-3 belt bound.
+    w = P3.white_bound
+    c = math.sqrt(1.0 - w * w)
+    on_belt_3d = OrthonormalBasis(np.array([[c, 0.0, -w], [0.0, 1.0, 0.0], [w, 0.0, c]]))
+    return [(on_cap, P3), (OrthonormalBasis(h), P4), (_tilted_basis_3d(), P3), (on_belt_3d, P3)]
 
 
 def test_basis_predicates_match_per_vector_colours():
-    from kscolour.montecarlo import sample_basis
-
     rng = np.random.default_rng(2026)
     cases = [(OrthonormalBasis(np.eye(dim)), ColouringParams(dim=dim)) for dim in (3, 4, 8)]
     cases += _boundary_bases()
@@ -310,10 +249,11 @@ def test_basis_predicates_match_per_vector_colours():
 
 
 def test_basis_components_on_a_bound_stay_uncoloured():
-    on_cap, on_belt, tilted = (classify_basis(b, p) for b, p in _boundary_bases())
+    on_cap, on_belt, tilted, on_belt_3d = (classify_basis(b, p) for b, p in _boundary_bases())
     assert on_cap == [Colour.UNCOLOURED, Colour.WHITE, Colour.UNCOLOURED]
     assert on_belt == [Colour.UNCOLOURED] * 4
     assert tilted == [Colour.UNCOLOURED] * 3
+    assert on_belt_3d == [Colour.UNCOLOURED, Colour.WHITE, Colour.BLACK]
 
 
 def test_basis_predicates_dimension_mismatch():

@@ -66,8 +66,8 @@ def test_argument_validation():
 def test_samplers_produce_valid_objects():
     rng = np.random.default_rng(3)
     v = sample_unit_vector(6, rng)
-    assert v.dim == 6
-    assert float(np.linalg.norm(v.components)) == pytest.approx(1.0, abs=1e-12)
+    assert v.shape == (6,)
+    assert float(np.linalg.norm(v)) == pytest.approx(1.0, abs=1e-12)
     b = sample_basis(5, rng)
     m = b.matrix
     assert np.abs(m.T @ m - np.eye(5)).max() < 1e-12
@@ -242,8 +242,8 @@ def test_axis_samples_bitwise_reproducible():
 
 
 def test_row_sampling_matches_whole_haar_bases_4d():
-    # The estimator colours one uniform row per basis; classifying whole
-    # QR bases with colour_of is an independent route to the same number.
+    # The estimator colours one uniform row per basis; colouring each
+    # column of whole QR bases is an independent route to the same number.
     rng = np.random.default_rng(2024)
     params = ColouringParams(dim=4)
     n = 4000

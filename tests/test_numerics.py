@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from helpers import belt_edge_angle, quad
@@ -69,6 +70,12 @@ def test_surface_ratio_validation():
         surface_ratio(1)
     with pytest.raises(ValueError):
         surface_ratio(3.0)  # type: ignore[arg-type]
+    # The largest accepted dimension is the largest float, as an integer.
+    largest = int(sys.float_info.max)
+    assert math.isfinite(surface_ratio(largest))
+    for bad in (largest + 1, 10**400):
+        with pytest.raises(ValueError, match="at most"):
+            surface_ratio(bad)
 
 
 def test_simplex_circumradius_monotone_to_one():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kscolour
@@ -39,9 +40,7 @@ def test_lazy_names_are_the_sampling_layers_public_names():
         "Colour",
         "ColouringParams",
         "OrthonormalBasis",
-        "UnitVector",
         "classify_basis",
-        "colour_of",
         "ks_satisfied",
         "Estimate",
         "ViolationReport",
@@ -94,14 +93,24 @@ def test_benchmark_tracer_wraps_lazy_names_once_and_restores_them(monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        wrapped = kscolour.colour_of
-        assert wrapped is not before["colour_of"]
-        assert wrapped.__wrapped__ is before["colour_of"]
-        wrapped(colouring.UnitVector([0.0, 0.0, 1.0]), colouring.ColouringParams(dim=3))
-        assert tracer.calls["colouring.colour_of"] == 1
+        wrapped = kscolour.ks_satisfied
+        assert wrapped is not before["ks_satisfied"]
+        assert wrapped.__wrapped__ is before["ks_satisfied"]
+        assert wrapped(colouring.OrthonormalBasis(np.eye(3)), colouring.ColouringParams(dim=3))
+        assert tracer.calls["colouring.ks_satisfied"] == 1
     finally:
         tracer.uninstall()
     assert {name: vars(kscolour)[name] for name in kscolour.__all__} == before
+
+
+def test_readme_library_sketch_imports_only_public_names():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("from kscolour import (")
+    block = readme[start : readme.index(")", start) + 1]
+    (node,) = ast.parse(block).body
+    names = [alias.name for alias in node.names]
+    assert len(names) > 5
+    assert set(names) <= set(kscolour.__all__)
 
 
 def test_import_leaves_the_environment_unchanged():
