@@ -14,14 +14,16 @@ its Taylor polynomial in y, from a table of 41 coefficients.  N's
 octave (its bit length) fixes the degree, and one bound on the dropped
 terms holds for every octave, so a row sums no series and takes no
 logarithm to choose its degree.  Black's series is summed term by term
-by ``_beta_series``.
+by ``_black_series``.
 
-The terms of Black's series at N are the prefactors of the rows N+2,
-N+4, ... (the a -> a+1 recurrence of DLMF 8.17(iv)), so a scan sums
-the series only for the top two dimensions of a block and takes every
-lower row as black(N) = pre(N) + black(N+2).  Its error bound is the
-bound of row N+2 plus the roundings of pre(N) and of the addition, and
-every row is certified.  That Black is within a few eps of scipy's
+Every row, White and Black together, comes from ``_scan_block``:
+``total_fraction`` is its one-row block and ``iter_scan`` reads it a
+block at a time.  The terms of Black's series at N are the prefactors
+of the rows N+2, N+4, ... (the a -> a+1 recurrence of DLMF 8.17(iv)),
+so a block sums the series only for its top two dimensions and takes
+every lower row as black(N) = pre(N) + black(N+2).  Its error bound is
+the bound of row N+2 plus the roundings of pre(N) and of the addition,
+and every row is certified.  That Black is within a few eps of scipy's
 betaincc (2.4 eps over N = 3..400).  ``iter_scan`` holds one block of
 1024 dimensions at a time, so its memory stays bounded for any range.
 """
@@ -35,8 +37,6 @@ from .numerics import EPS, RANGE_TOL, QuadratureConfig, certify, check_dimension
 
 __all__ = [
     "AreaBreakdown",
-    "white_fraction",
-    "black_fraction",
     "total_fraction",
     "iter_scan",
     "scan",
@@ -119,31 +119,30 @@ class AreaBreakdown:
         return 1.0 - self.total_fraction
 
 
-def _beta_series(x: float, a: float, b: float, prefactor: float) -> tuple[float, float]:
-    """I_x(a, b) = prefactor * sum_n (a+b)_n / (a+1)_n * x^n, and its error bound.
+def _black_series(a: float, prefactor: float) -> tuple[float, float]:
+    """I_{1/2}(a, 1/2) = prefactor * sum_n (a+1/2)_n / (a+1)_n * 2^-n, and its error bound.
 
-    prefactor is x^a (1-x)^b / (a B(a, b)).  Every term is positive and
-    the term ratio x(a+b+n)/(a+1+n) tends monotonically to x < 1, so
-    all ratios after the last one are at most rho = max(last ratio, x)
-    and the dropped tail is at most term * rho / (1 - rho).  Summing
-    stops once a term falls below eps times the sum.  Each term carries
-    three roundings per step and each addition one, so the sum errs by
-    at most 2n eps relative after n terms.  The caller certifies the
-    pair (see ``numerics.certify``).  The library sums Black's series
-    with it; White's, in the tests, is a second route to ``_white``.
-    A prefactor that has underflowed to 0 (Black's, from N = 2139 on)
-    gives (0.0, 0.0) without summing.
+    prefactor is 2^-(a+1/2) / (a B(a, 1/2)).  Every term is positive and
+    the term ratio (a+1/2+n) / (2 (a+1+n)) tends monotonically to 1/2,
+    so all ratios after the last one are at most rho = max(last ratio,
+    1/2) and the dropped tail is at most term * rho / (1 - rho).
+    Summing stops once a term falls below eps times the sum.  Each term
+    carries three roundings per step and each addition one, so the sum
+    errs by at most 2n eps relative after n terms.  The caller
+    certifies the pair (see ``numerics.certify``).  A prefactor that
+    has underflowed to 0 (from N = 2139 on) gives (0.0, 0.0) without
+    summing.
     """
     if prefactor == 0.0:
         return 0.0, 0.0
     total = term = 1.0
     n = 0
     while term > EPS * total:
-        ratio = x * (a + b + n) / (a + 1.0 + n)
+        ratio = 0.5 * (a + 0.5 + n) / (a + 1.0 + n)
         term *= ratio
         total += term
         n += 1
-    rho = max(ratio, x)
+    rho = max(ratio, 0.5)
     bound = prefactor * (term * rho / (1.0 - rho) + (2 * n + _PREFACTOR_EPS) * EPS * total)
     return prefactor * total, bound
 
@@ -169,40 +168,14 @@ def _white(n_dim: int, surface: float, config: QuadratureConfig | None) -> float
     return certify(prefactor * total, bound, config)
 
 
-def _black(n_dim: int, surface: float, config: QuadratureConfig | None) -> float:
-    a = 0.5 * (n_dim - 1)
-    value, bound = _beta_series(0.5, a, 0.5, 0.5 ** (0.5 * n_dim) * surface / a)
-    return certify(value, bound, config)
-
-
-def white_fraction(n_dim: int, config: QuadratureConfig | None = None) -> float:
-    """Fraction of the sphere's surface strictly inside the white belt.
-
-    The distinguished |component| stays below 1/sqrt(N):
-    I_{1/N}(1/2, (N-1)/2), summed to within ``config``'s tolerance.
-    Raises QuadratureError when that tolerance is out of reach.
-    """
-    check_dimension(n_dim)
-    return _white(n_dim, surface_ratio(n_dim), config)
-
-
-def black_fraction(n_dim: int, config: QuadratureConfig | None = None) -> float:
-    """Fraction of the sphere's surface strictly inside the two black caps.
-
-    The distinguished |component| exceeds 1/sqrt(2), so 1 - t^2 stays
-    below 1/2: I_{1/2}((N-1)/2, 1/2), summed to within ``config``'s
-    tolerance.  Raises QuadratureError when that tolerance is out of
-    reach.
-    """
-    check_dimension(n_dim)
-    return _black(n_dim, surface_ratio(n_dim), config)
-
-
 def total_fraction(n_dim: int, config: QuadratureConfig | None = None) -> AreaBreakdown:
-    """White plus Black coverage for one dimension, as an AreaBreakdown."""
+    """White plus Black coverage for one dimension, as an AreaBreakdown.
+
+    The row is ``_scan_block``'s one-row block: each share is summed to
+    within ``config``'s tolerance, or QuadratureError is raised.
+    """
     check_dimension(n_dim)
-    surface = surface_ratio(n_dim)
-    return AreaBreakdown(n_dim, _white(n_dim, surface, config), _black(n_dim, surface, config))
+    return _scan_block(n_dim, n_dim, config)[0]
 
 
 def _scan_block(n_min: int, n_max: int, config: QuadratureConfig | None) -> list[AreaBreakdown]:
@@ -217,8 +190,8 @@ def _scan_block(n_min: int, n_max: int, config: QuadratureConfig | None) -> list
     bound(N+2) + _PREFACTOR_EPS eps pre(N) + eps black(N), the rounding
     of the prefactor and of the addition on top of the row above, and
     is certified like the series'.  Over N = 3..400 this Black agrees
-    with scipy's betaincc to 2.4 eps and with the per-row series to
-    4.2 eps.
+    with scipy's betaincc to 2.4 eps and with Black's series summed at
+    each row to 4.2 eps.
     """
     rows = []
     # blacks[N % 2] and bounds[N % 2] hold row N + 2's until row N replaces them.
@@ -226,8 +199,6 @@ def _scan_block(n_min: int, n_max: int, config: QuadratureConfig | None) -> list
     bounds = [0.0, 0.0]
     for n in range(n_max, n_min - 1, -1):
         surface = surface_ratio(n)
-        # Black's series prefactor as _black forms it, so the top two rows
-        # carry black_fraction's bits.
         a = 0.5 * (n - 1)
         pre = 0.5 ** (0.5 * n) * surface / a
         k = n % 2
@@ -235,7 +206,7 @@ def _scan_block(n_min: int, n_max: int, config: QuadratureConfig | None) -> list
             blacks[k] = pre + blacks[k]
             bounds[k] += _PREFACTOR_EPS * EPS * pre + EPS * blacks[k]
         else:
-            blacks[k], bounds[k] = _beta_series(0.5, a, 0.5, pre)
+            blacks[k], bounds[k] = _black_series(a, pre)
         rows.append(AreaBreakdown(n, _white(n, surface, config), certify(blacks[k], bounds[k], config)))
     rows.reverse()
     return rows

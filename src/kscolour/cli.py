@@ -15,6 +15,7 @@ written), 2 numerical failure, 3 verification failure.
 import argparse
 import math
 import os
+import stat
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -169,12 +170,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         _, best = _write_scan(rows, print)
     else:
         fh = open(args.out, "w", encoding="utf-8", newline="")
-        # A CSV is never left behind partial or without its manifest.
+        # A CSV is never left behind partial or without its manifest; what
+        # --out names is removed only if it is a regular file, not a device.
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         try:
             with fh:
                 count, best = _write_scan(rows, lambda line: fh.write(line + "\n"))
+            import shlex
+
             manifest = RunManifest(
-                command_line="kscolour " + " ".join(args.argv),
+                command_line=shlex.join(["kscolour", *args.argv]),
                 seed=None,
                 abs_tol=args.abs_tol,
                 rel_tol=args.rel_tol,
@@ -185,7 +190,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             with open(manifest_path, "w", encoding="utf-8", newline="") as mf:
                 mf.write(manifest.to_json())
         except BaseException:
-            os.unlink(args.out)
+            if regular:
+                os.unlink(args.out)
             raise
         print(f"wrote {count} rows to {args.out}")
         print(f"wrote manifest to {manifest_path}")

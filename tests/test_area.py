@@ -12,12 +12,10 @@ from kscolour.area import (
     AreaBreakdown,
     argmin_total,
     asymptotic_limit,
-    black_fraction,
     iter_scan,
     limit_series,
     scan,
     total_fraction,
-    white_fraction,
 )
 from kscolour.bases import basis_fraction_3d, basis_fraction_4d
 from kscolour.numerics import QuadratureConfig, QuadratureError, surface_ratio
@@ -45,25 +43,27 @@ def black_exact(n_dim: int) -> float:
 
 
 def test_closed_forms_dim3():
-    assert white_fraction(3) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
-    assert black_fraction(3) == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), abs=1e-12)
     row = total_fraction(3)
+    assert row.white_fraction == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
+    assert row.black_fraction == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), abs=1e-12)
     assert row.total_fraction == pytest.approx(
         1.0 - 1.0 / math.sqrt(2.0) + 1.0 / math.sqrt(3.0), abs=1e-12
     )
 
 
 def test_closed_forms_dim4():
-    assert white_fraction(4) == pytest.approx(1.0 / 3.0 + math.sqrt(3.0) / (2.0 * math.pi), abs=1e-12)
-    assert black_fraction(4) == pytest.approx(0.5 - 1.0 / math.pi, abs=1e-12)
+    row = total_fraction(4)
+    assert row.white_fraction == pytest.approx(1.0 / 3.0 + math.sqrt(3.0) / (2.0 * math.pi), abs=1e-12)
+    assert row.black_fraction == pytest.approx(0.5 - 1.0 / math.pi, abs=1e-12)
 
 
 def test_fractions_match_reduction_oracle():
     # Independent evaluation through the closed-form antiderivative
     # chain; no quadrature involved.
     for n in list(range(3, 41)) + [60, 101]:
-        assert white_fraction(n) == pytest.approx(white_exact(n), abs=1e-10)
-        assert black_fraction(n) == pytest.approx(black_exact(n), abs=1e-10)
+        row = total_fraction(n)
+        assert row.white_fraction == pytest.approx(white_exact(n), abs=1e-10)
+        assert row.black_fraction == pytest.approx(black_exact(n), abs=1e-10)
 
 
 def test_breakdown_consistency():
@@ -90,7 +90,7 @@ def test_breakdown_validation():
 def test_dimension_validation():
     for bad in (2, 0, -3, 3.5, True, 10**400):
         with pytest.raises(ValueError):
-            white_fraction(bad)  # type: ignore[arg-type]
+            total_fraction(bad)  # type: ignore[arg-type]
     with pytest.raises(ValueError, match="at most"):
         total_fraction(10**400)
     assert 0.0 < total_fraction(int(sys.float_info.max)).white_fraction < 1.0
@@ -243,8 +243,9 @@ def test_fractions_match_betainc_strictly():
     special = pytest.importorskip("scipy.special")
     for n_dim in range(3, 401):
         b = 0.5 * (n_dim - 1)
-        assert white_fraction(n_dim) == pytest.approx(float(special.betainc(0.5, b, 1.0 / n_dim)), rel=1e-13, abs=0.0)
-        assert black_fraction(n_dim) == pytest.approx(float(special.betaincc(0.5, b, 0.5)), rel=1e-13, abs=0.0)
+        row = total_fraction(n_dim)
+        assert row.white_fraction == pytest.approx(float(special.betainc(0.5, b, 1.0 / n_dim)), rel=1e-13, abs=0.0)
+        assert row.black_fraction == pytest.approx(float(special.betaincc(0.5, b, 0.5)), rel=1e-13, abs=0.0)
 
 
 def test_fractions_match_quadrature_route():
@@ -260,8 +261,9 @@ def test_fractions_match_quadrature_route():
         weight = 2.0 * surface_ratio(n_dim)
         white = weight * quad(sin_power, belt_edge_angle(n_dim), 0.5 * math.pi, epsabs=0.0)
         black = weight * quad(sin_power, 0.0, 0.25 * math.pi, epsabs=0.0)
-        assert white_fraction(n_dim) == pytest.approx(white, rel=1e-12, abs=0.0)
-        assert black_fraction(n_dim) == pytest.approx(black, rel=1e-12, abs=0.0)
+        row = total_fraction(n_dim)
+        assert row.white_fraction == pytest.approx(white, rel=1e-12, abs=0.0)
+        assert row.black_fraction == pytest.approx(black, rel=1e-12, abs=0.0)
 
 
 def test_unreachable_tolerance_raises():
@@ -269,9 +271,8 @@ def test_unreachable_tolerance_raises():
     # that of the basis closed forms, so these tolerances cannot be
     # certified.
     unreachable = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
-    for fn in (total_fraction, white_fraction, black_fraction):
-        with pytest.raises(QuadratureError):
-            fn(3, unreachable)
+    with pytest.raises(QuadratureError):
+        total_fraction(3, unreachable)
     with pytest.raises(QuadratureError):
         scan(3, 5, unreachable)
     for fn in (basis_fraction_3d, basis_fraction_4d):
@@ -279,9 +280,21 @@ def test_unreachable_tolerance_raises():
             fn(unreachable)
 
 
+def test_black_alone_out_of_reach_raises():
+    # At N = 200 and rel 1e-14 White is certified and Black is not, so
+    # these reach Black's own certification, on its series (the top row).
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-14)
+    black = r"error bound 2\.182e-45 exceeds .* 8\.868775e-32\)"
+    with pytest.raises(QuadratureError, match=black):
+        total_fraction(200, cfg)
+    with pytest.raises(QuadratureError, match=black):
+        scan(3, 200, cfg)
+
+
 # scan sums Black's series only for its top two dimensions and takes
 # every lower row as black(N) = pre(N) + black(N+2); these tests hold
-# that shared tail to the oracles the per-N functions answer to.
+# that shared tail to the oracles and to total_fraction, a one-row block
+# that sums the series.
 
 
 def test_scan_matches_betainc_strictly():
@@ -341,7 +354,6 @@ def test_black_after_its_prefactor_underflows_keeps_its_bits():
     for n, white, black in pins:
         row = total_fraction(n)
         assert (row.white_fraction, row.black_fraction) == (white, black)
-        assert black_fraction(n) == black
     digest = hashlib.sha256()
     for row in scan(2100, 2200):
         digest.update(struct.pack("<qdd", row.dim, row.white_fraction, row.black_fraction))
@@ -453,12 +465,20 @@ def test_white_octave_degrees_bound_the_dropped_terms():
 
 
 def _white_by_series(n_dim):
-    # The term-by-term route: DLMF 8.17.8 summed until a term drops below
-    # eps of the sum, with the prefactor _white uses.
+    # The term-by-term route: I_x(1/2, b) = prefactor * sum_n (1/2+b)_n / (3/2)_n x^n
+    # (DLMF 8.17.8) at x = 1/N, b = (N-1)/2, summed until a term drops
+    # below eps of the sum, with the prefactor _white uses.
+    eps = math.ulp(1.0)
     x = 1.0 / n_dim
     b = 0.5 * (n_dim - 1)
     prefactor = 2.0 * math.sqrt(x) * math.exp(b * math.log1p(-x)) * surface_ratio(n_dim)
-    return area._beta_series(x, 0.5, b, prefactor)[0]
+    total = term = 1.0
+    n = 0
+    while term > eps * total:
+        term *= x * (0.5 + b + n) / (1.5 + n)
+        total += term
+        n += 1
+    return prefactor * total
 
 
 def test_white_where_the_degree_changes_matches_betainc():
@@ -468,14 +488,14 @@ def test_white_where_the_degree_changes_matches_betainc():
     dims = [n for k in range(2, 24) for n in (2**k - 1, 2**k)] + [10**7, 2**58, 2**62]
     for n_dim in dims:
         ref = float(special.betainc(0.5, 0.5 * (n_dim - 1), 1.0 / n_dim))
-        assert white_fraction(n_dim) == pytest.approx(ref, rel=1e-13, abs=0.0), n_dim
+        assert total_fraction(n_dim).white_fraction == pytest.approx(ref, rel=1e-13, abs=0.0), n_dim
 
 
 def test_white_matches_the_series_route():
     eps = math.ulp(1.0)
     for n_dim in range(3, 5001):
         series = _white_by_series(n_dim)
-        assert abs(white_fraction(n_dim) - series) <= 8 * eps * series, n_dim
+        assert abs(total_fraction(n_dim).white_fraction - series) <= 8 * eps * series, n_dim
 
 
 def test_scan_cli_prints_the_series_route_digits(capsys):

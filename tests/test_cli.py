@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -148,6 +149,15 @@ def test_scan_manifest_records_the_argv_main_received(tmp_path, monkeypatch, cap
     assert manifest["command_line"] == f"kscolour scan --from 3 --to 5 --out {out}"
 
 
+def test_scan_manifest_command_line_is_shell_quoted(tmp_path, capsys):
+    # A path with a space splits back into the argv the command ran with.
+    (tmp_path / "sp ace").mkdir()
+    argv = ["scan", "--from", "3", "--to", "5", "--out", str(tmp_path / "sp ace" / "a b.csv")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "sp ace" / "a b.csv.manifest.json").read_text())
+    assert shlex.split(manifest["command_line"]) == ["kscolour", *argv]
+
+
 def test_scan_output_is_byte_stable(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -255,6 +265,15 @@ def test_unreachable_tolerance_is_numerical_failure():
     proc = run_cli("area", "--dim", "3", "--abs-tol", "1e-300", "--rel-tol", "1e-300")
     assert proc.returncode == 2
     assert "numerical failure" in proc.stderr
+
+
+def test_area_black_alone_out_of_reach_is_numerical_failure(capsys):
+    # White(200) meets rel 1e-14 and Black(200) does not.
+    assert main(["area", "--dim", "200", "--abs-tol", "1e-300", "--rel-tol", "1e-14"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: error bound 2.182e-45 exceeds")
+    assert err.endswith("8.868775e-32)\n")
 
 
 def test_basis_4d_unreachable_tolerance_is_numerical_failure(capsys):
@@ -434,6 +453,17 @@ def test_scan_failure_partway_leaves_no_csv_or_manifest(tmp_path, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scan_failure_partway_leaves_a_device_out_in_place(monkeypatch, capsys):
+    # --out may name a device; only a regular file is removed on failure.
+    # os.unlink is a recorder here, so no device is ever unlinked.
+    _scan_failing_on_second_call(monkeypatch)
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", unlinked.append)
+    assert main(["scan", "--from", "3", "--to", "3000", "--out", os.devnull]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert unlinked == []
+
+
 def test_scan_failure_partway_exits_2_after_the_printed_rows(monkeypatch, capsys):
     _scan_failing_on_second_call(monkeypatch)
     assert main(["scan", "--from", "3", "--to", "3000"]) == 2
@@ -579,12 +609,12 @@ def test_main_leaves_the_environment_unchanged(monkeypatch, capsys):
         (("scan", "--from", "3", "--to", "6"), []),
         (("limit",), []),
         (("basis", "--dim", "3"), []),
-        (("scan", "--from", "3", "--to", "6", "--out", "{out}"), ["json"]),
+        (("scan", "--from", "3", "--to", "6", "--out", "{out}"), ["json", "shlex"]),
     ],
     ids=["area", "scan", "limit", "basis3", "scan_out"],
 )
 def test_commands_load_only_what_they_use(args, loaded, tmp_path):
-    # secrets is for a seed drawn from entropy, json for the scan manifest.
-    report = "sorted(m for m in ('json', 'numpy', 'secrets') if m in sys.modules)"
+    # secrets is for a seed drawn from entropy, json and shlex for the scan manifest.
+    report = "sorted(m for m in ('json', 'numpy', 'secrets', 'shlex') if m in sys.modules)"
     args = [a.format(out=tmp_path / "scan.csv") for a in args]
     assert cli_then_report(report, *args) == f"0 {loaded}"

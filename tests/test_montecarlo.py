@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kscolour import montecarlo
-from kscolour.area import black_fraction, white_fraction
+from kscolour.area import total_fraction
 from kscolour.bases import basis_fraction_3d
 from kscolour.colouring import ColouringParams
 from kscolour.montecarlo import (
@@ -158,8 +158,9 @@ def test_vector_fractions_sum_to_one_exactly():
 def test_vector_fractions_match_area_integrals():
     for dim, seed in ((3, 909), (6, 910)):
         w, b, _ = estimate_vector_fractions(dim, 400_000, seed=seed)
-        assert abs(w.value - white_fraction(dim)) < 4.0 * w.std_error
-        assert abs(b.value - black_fraction(dim)) < 4.0 * b.std_error
+        row = total_fraction(dim)
+        assert abs(w.value - row.white_fraction) < 4.0 * w.std_error
+        assert abs(b.value - row.black_fraction) < 4.0 * b.std_error
 
 
 def test_basis_fraction_matches_quadrature_3d():
