@@ -14,9 +14,11 @@ the host does not always fall on the same side.  It reads the JSON result line t
 run prints last and writes ``BENCH_<label>.json`` holding:
 
 - per end-to-end metric of the change's ``BENCHMARK.json``: each side's
-  median and quartiles, the number of pairs the change wins, and
-  whether the gap between the medians exceeds the parent's quartile
-  spread;
+  median and quartiles, the number of pairs the change wins, whether
+  the gap between the medians exceeds the parent's quartile spread,
+  and ``worse_by``, the change's median relative to the parent's
+  (positive when worse), with ``within_bound`` telling whether it is
+  at most the metric's ``bound``;
 - per run: seed, side, order, ``correct``, ``attempted``, ``failed``
   and every metric;
 - the machine, the Python and numpy versions, the seeds and the
@@ -75,7 +77,7 @@ def machine() -> dict:
 
 
 def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Medians, quartiles and win counts per end-to-end metric."""
+    """Medians, quartiles, win counts and the bound check per end-to-end metric."""
     out = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -87,6 +89,7 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
             stats[side] = {"median": median, "q1": q1, "q3": q3}
         gap = stats["change"]["median"] - stats["parent"]["median"]
+        worse_by = (-gap if higher else gap) / stats["parent"]["median"]
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -96,6 +99,9 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             "median_gap": gap,
             "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
             "gap_exceeds_parent_iqr": abs(gap) > stats["parent"]["q3"] - stats["parent"]["q1"],
+            "bound": spec["bound"],
+            "worse_by": worse_by,
+            "within_bound": worse_by <= spec["bound"],
         }
     return out
 

@@ -22,18 +22,19 @@ block at a time.  The terms of Black's series at N are the prefactors
 of the rows N+2, N+4, ... (the a -> a+1 recurrence of DLMF 8.17(iv)),
 so a block sums the series only for its top two dimensions and takes
 every lower row as black(N) = pre(N) + black(N+2).  Its error bound is
-the bound of row N+2 plus the roundings of pre(N) and of the addition,
-and every row is certified.  That Black is within a few eps of scipy's
-betaincc (2.4 eps over N = 3..400).  ``iter_scan`` holds one block of
-1024 dimensions at a time, so its memory stays bounded for any range.
+the bound of row N+2 plus the roundings of pre(N) and of the addition.
+Every row is certified, and a row outside [0, 1] raises
+QuadratureError.  That Black is within a few eps of scipy's betaincc
+(2.4 eps over N = 3..400).  ``iter_scan`` holds one block of 1024
+dimensions at a time, so its memory stays bounded for any range.
 """
 
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .numerics import EPS, RANGE_TOL, QuadratureConfig, certify, check_dimension, surface_ratio
+from .numerics import EPS, RANGE_TOL, QuadratureConfig, QuadratureError, certify, check_dimension, surface_ratio
 
 __all__ = [
     "AreaBreakdown",
@@ -93,22 +94,12 @@ _WHITE_DEGREES = (
 _WHITE_HORNER = tuple(_WHITE_COEFFS[j::-1] for j in _WHITE_DEGREES)
 
 
-@dataclass(frozen=True)
-class AreaBreakdown:
+class AreaBreakdown(NamedTuple):
     """White, Black, and combined coloured area fractions for one dimension."""
 
     dim: int
     white_fraction: float
     black_fraction: float
-
-    def __post_init__(self) -> None:
-        check_dimension(self.dim)
-        # Two non-negative shares whose sum is in range are each in range too.
-        if not (0.0 <= self.white_fraction and 0.0 <= self.black_fraction and self.total_fraction <= 1.0 + RANGE_TOL):
-            for name in ("white_fraction", "black_fraction", "total_fraction"):
-                v = getattr(self, name)
-                if not (0.0 <= v <= 1.0 + RANGE_TOL):
-                    raise ValueError(f"{name} {v!r} outside [0, 1]")
 
     @property
     def total_fraction(self) -> float:
@@ -183,10 +174,12 @@ def _scan_block(n_min: int, n_max: int, config: QuadratureConfig | None) -> list
 
     The sweep runs from n_max down, and each row is built in one step:
     its surface ratio, Black, White by ``_white``, certification, the
-    record.  Black is summed by the series only for n_max and n_max - 1;
-    every lower row takes black(N) = pre(N) + black(N+2), the a -> a+1
-    recurrence of DLMF 8.17(iv), pre(N) being the series prefactor
-    0.5^(N/2) surface_ratio(N) / ((N-1)/2).  Each row's error bound is
+    range check (QuadratureError unless both shares are non-negative
+    and sum to at most 1 + RANGE_TOL), the record.  Black is summed by
+    the series only for n_max and n_max - 1; every lower row takes
+    black(N) = pre(N) + black(N+2), the a -> a+1 recurrence of DLMF
+    8.17(iv), pre(N) being the series prefactor 0.5^(N/2)
+    surface_ratio(N) / ((N-1)/2).  Each row's error bound is
     bound(N+2) + _PREFACTOR_EPS eps pre(N) + eps black(N), the rounding
     of the prefactor and of the addition on top of the row above, and
     is certified like the series'.  Over N = 3..400 this Black agrees
@@ -207,7 +200,12 @@ def _scan_block(n_min: int, n_max: int, config: QuadratureConfig | None) -> list
             bounds[k] += _PREFACTOR_EPS * EPS * pre + EPS * blacks[k]
         else:
             blacks[k], bounds[k] = _black_series(a, pre)
-        rows.append(AreaBreakdown(n, _white(n, surface, config), certify(blacks[k], bounds[k], config)))
+        white = _white(n, surface, config)
+        black = certify(blacks[k], bounds[k], config)
+        # Two non-negative shares whose sum is in range are each in range too.
+        if not (0.0 <= white and 0.0 <= black and white + black <= 1.0 + RANGE_TOL):
+            raise QuadratureError(f"area shares at N = {n} out of range: white {white!r}, black {black!r}")
+        rows.append(AreaBreakdown(n, white, black))
     rows.reverse()
     return rows
 

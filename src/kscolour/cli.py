@@ -237,12 +237,13 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
     seed = _resolve_seed(args)
     check_run(args.dim, args.samples, seed)
+    # Before sampling, so that an unreachable tolerance fails at once.
+    reference = prescription(cfg) if prescription is not None else None
     # Imported here so that the quadrature commands and a refused run
     # never load numpy.
     from .montecarlo import CHUNK_SAMPLES, RNG_FAMILY, estimate_basis_fraction
 
     estimate = estimate_basis_fraction(args.dim, args.samples, seed)
-    reference = prescription(cfg) if prescription is not None else None
     print(f"dimension: {args.dim}")
     print("method: montecarlo")
     print(f"rng: {RNG_FAMILY} (chunks of {CHUNK_SAMPLES} keyed by seed and chunk index)")

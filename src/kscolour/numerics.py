@@ -19,7 +19,8 @@ class QuadratureError(ArithmeticError):
     """A result could not be certified to the requested tolerance.
 
     Raised when the error bound of an area-fraction series or of a
-    basis fraction's closed form exceeds the tolerance.  The name dates
+    basis fraction's closed form exceeds the tolerance, and when a
+    computed area row's shares fall outside [0, 1].  The name dates
     from when those results came from adaptive quadrature; the CLI maps
     it to exit code 2.
     """

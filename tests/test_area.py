@@ -76,15 +76,23 @@ def test_breakdown_consistency():
 def test_breakdown_validation():
     row = AreaBreakdown(dim=3, white_fraction=0.5, black_fraction=0.2)
     assert row.total_fraction == 0.7
-    with pytest.raises(ValueError):
-        AreaBreakdown(dim=3, white_fraction=-0.1, black_fraction=0.2)
-    with pytest.raises(ValueError):
-        AreaBreakdown(dim=2, white_fraction=0.1, black_fraction=0.2)
-    # Overlapping regions: each share is a fraction, their sum is not.
-    with pytest.raises(ValueError, match="total_fraction"):
-        AreaBreakdown(dim=3, white_fraction=0.7, black_fraction=0.4)
+    assert repr(row) == "AreaBreakdown(dim=3, white_fraction=0.5, black_fraction=0.2)"
+    with pytest.raises(AttributeError):
+        row.white_fraction = 0.1  # type: ignore[misc]
     with pytest.raises(TypeError):
         AreaBreakdown(dim=3, white_fraction=0.5, black_fraction=0.2, total_fraction=0.7)
+
+
+@pytest.mark.parametrize("bad_white", [1.5, -1e-300])
+def test_a_computed_row_out_of_range_is_a_numerical_failure(bad_white, monkeypatch, capsys):
+    white = area._white
+    monkeypatch.setattr(area, "_white", lambda n, *rest: bad_white if n == 13 else white(n, *rest))
+    for compute in (lambda: total_fraction(13), lambda: scan(3, 20)):
+        with pytest.raises(QuadratureError, match=f"N = 13 .*white {bad_white!r}"):
+            compute()
+    assert cli.main(["area", "--dim", "13"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "numerical failure" in err
 
 
 def test_dimension_validation():

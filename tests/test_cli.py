@@ -291,14 +291,36 @@ def test_basis_4d_unreachable_tolerance_is_numerical_failure(capsys):
         (["--dim", "3", "--method", "montecarlo", "--samples", "10", "--seed", "-1"], 1),
         (["--dim", "4", "--abs-tol", "1e-16", "--rel-tol", "1e-16"], 2),
         (["--dim", "3", "--abs-tol", "1e-16", "--rel-tol", "1e-16"], 2),
+        (
+            ["--dim", "3", "--method", "montecarlo", "--samples", "10", "--seed", "1"]
+            + ["--abs-tol", "1e-300", "--rel-tol", "1e-300"],
+            2,
+        ),
     ],
-    ids=["quadrature_dim5", "zero_samples", "negative_seed", "unreachable_tolerance", "unreachable_tolerance_3d"],
+    ids=[
+        "quadrature_dim5",
+        "zero_samples",
+        "negative_seed",
+        "unreachable_tolerance",
+        "unreachable_tolerance_3d",
+        "unreachable_tolerance_montecarlo",
+    ],
 )
 def test_basis_failure_leaves_stdout_empty(args, code, capsys):
     assert main(["basis", *args]) == code
     out, err = capsys.readouterr()
     assert out == ""
     assert err
+
+
+def test_basis_montecarlo_checks_the_tolerance_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("sampled although the reference cannot be certified")
+
+    monkeypatch.setattr(montecarlo, "estimate_basis_fraction", no_sampling)
+    args = ["basis", "--dim", "4", "--method", "montecarlo", "--samples", "10", "--seed", "1"]
+    assert main([*args, "--abs-tol", "1e-300", "--rel-tol", "1e-300"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,9 @@ pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(pairs)
 
 END_TO_END = [
-    {"name": "ops_per_s", "unit": "1/s", "better": "higher"},
-    {"name": "latency_p50_ms", "unit": "ms", "better": "lower"},
-    {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.2},
 ]
 
 
@@ -55,17 +55,22 @@ def test_summarise_medians_quartiles_wins_and_gap():
     assert ops["median_gap"] == 13 and ops["parent_iqr"] == 2
     assert ops["gap_exceeds_parent_iqr"] is True
     assert (ops["unit"], ops["better"]) == ("1/s", "higher")
+    assert ops["bound"] == 0.25
+    assert ops["worse_by"] == pytest.approx(-13 / 12) and ops["within_bound"] is True
 
     p50 = out["latency_p50_ms"]
     assert (p50["change"]["q1"], p50["change"]["median"], p50["change"]["q3"]) == (101, 150, 160)
     assert p50["change_wins"] == 1
     assert p50["median_gap"] == 48 and p50["parent_iqr"] == 2
     assert p50["gap_exceeds_parent_iqr"] is True  # set for a regression too
+    assert p50["worse_by"] == pytest.approx(48 / 102) and p50["within_bound"] is False
 
     rss = out["peak_rss_mb"]
     assert rss["change_wins"] == 0
     assert rss["median_gap"] == 1 and rss["parent_iqr"] == 4
     assert rss["gap_exceeds_parent_iqr"] is False
+    assert rss["bound"] == 0.2
+    assert rss["worse_by"] == pytest.approx(1 / 54) and rss["within_bound"] is True
 
 
 def test_summarise_ties_count_for_neither_side():
@@ -75,3 +80,4 @@ def test_summarise_ties_count_for_neither_side():
         assert out[name]["change_wins"] == 0
         assert out[name]["median_gap"] == 0.0
         assert out[name]["gap_exceeds_parent_iqr"] is False
+        assert out[name]["worse_by"] == 0.0 and out[name]["within_bound"] is True
