@@ -19,6 +19,10 @@ run prints last and writes ``BENCH_<label>.json`` holding:
   and ``worse_by``, the change's median relative to the parent's
   (positive when worse), with ``within_bound`` telling whether it is
   at most the metric's ``bound``;
+- per side: the operations ``attempted`` and ``failed`` over all its
+  runs, ``failed_share`` (failed over attempted) and ``all_correct``
+  (every run's checks passed), and ``failed_share_not_higher``,
+  whether the change's failed share is at most the parent's;
 - per run: seed, side, order, ``correct``, ``attempted``, ``failed``
   and every metric;
 - the machine, the Python and numpy versions, the seeds and the
@@ -106,6 +110,23 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def operations(runs: list[dict]) -> dict:
+    """Per side, the operations attempted and failed and whether every run was correct."""
+    out = {}
+    for side in SIDES:
+        mine = [r for r in runs if r["side"] == side]
+        attempted = sum(r["attempted"] for r in mine)
+        failed = sum(r["failed"] for r in mine)
+        out[side] = {
+            "attempted": attempted,
+            "failed": failed,
+            "failed_share": failed / attempted if attempted else 0.0,
+            "all_correct": all(r["correct"] for r in mine),
+        }
+    out["failed_share_not_higher"] = out["change"]["failed_share"] <= out["parent"]["failed_share"]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -138,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": args.seeds,
         "repeats": len(args.seeds),
         "end_to_end": summarise(runs, spec["end_to_end"]),
+        "operations": operations(runs),
         "runs": [
             {k: r[k] for k in ("seed", "side", "first", "correct", "attempted", "failed")}
             | {"metrics": {k: v["value"] for k, v in r["metrics"].items()}}

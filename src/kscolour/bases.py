@@ -41,9 +41,9 @@ pi^2/6 + pi + (sqrt(3)/2)*pi - (3*sqrt(2)/2)*pi.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .numerics import EPS, RANGE_TOL, QuadratureConfig, certify, check_dimension
+from .numerics import EPS, QuadratureConfig, certify
 
 __all__ = [
     "BasisFractionResult",
@@ -57,20 +57,12 @@ __all__ = [
 _TERMS_EPS = 4
 
 
-@dataclass(frozen=True)
-class BasisFractionResult:
+class BasisFractionResult(NamedTuple):
     """Raw orthogonal-completion integral and the fraction it normalizes to."""
 
     dim: int
     raw_integral: float
     normalizer: float
-
-    def __post_init__(self) -> None:
-        check_dimension(self.dim)
-        if self.normalizer <= 0.0:
-            raise ValueError("normalizer must be positive")
-        if not (0.0 <= self.fraction <= 1.0 + RANGE_TOL):
-            raise ValueError(f"fraction {self.fraction!r} outside [0, 1]")
 
     @property
     def combinatorial_factor(self) -> int:

@@ -18,14 +18,13 @@ import os
 import stat
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .area import AreaBreakdown, asymptotic_limit, iter_scan, limit_series, total_fraction
 from .bases import basis_fraction_3d, basis_fraction_4d
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, check_dimension, check_run
 
-__all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL", "EXIT_VERIFICATION", "RunManifest", "main", "run"]
+__all__ = ["EXIT_OK", "EXIT_USAGE", "EXIT_NUMERICAL", "EXIT_VERIFICATION", "main", "run"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,23 +41,6 @@ DIM4_DISCREPANCY_NOTICE = (
     "number is reported exactly as prescribed; the sampled number stands as an\n"
     "independent measurement of the fully-coloured-basis fraction."
 )
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility sidecar written next to CSV output."""
-
-    command_line: str
-    seed: int | None
-    abs_tol: float
-    rel_tol: float
-    tool_version: str
-    wall_time_s: float
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,19 +158,20 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         try:
             with fh:
                 count, best = _write_scan(rows, lambda line: fh.write(line + "\n"))
+            import json
             import shlex
 
-            manifest = RunManifest(
-                command_line=shlex.join(["kscolour", *args.argv]),
-                seed=None,
-                abs_tol=args.abs_tol,
-                rel_tol=args.rel_tol,
-                tool_version=__version__,
-                wall_time_s=time.perf_counter() - started,
-            )
+            manifest = {
+                "command_line": shlex.join(["kscolour", *args.argv]),
+                "seed": None,
+                "abs_tol": args.abs_tol,
+                "rel_tol": args.rel_tol,
+                "tool_version": __version__,
+                "wall_time_s": time.perf_counter() - started,
+            }
             manifest_path = args.out + ".manifest.json"
             with open(manifest_path, "w", encoding="utf-8", newline="") as mf:
-                mf.write(manifest.to_json())
+                mf.write(json.dumps(manifest, indent=2) + "\n")
         except BaseException:
             if regular:
                 os.unlink(args.out)

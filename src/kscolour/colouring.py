@@ -98,17 +98,21 @@ def _unit_columns(m: np.ndarray) -> np.ndarray:
 class OrthonormalBasis:
     """An ordered orthonormal basis of R^N: column j of ``matrix`` is vector j.
 
-    The matrix is copied to float and must be square, non-empty and
-    finite.  A column whose norm is within ``NORM_TOLERANCE`` of 1 keeps
-    its bits, one within ``RENORM_TOLERANCE`` is divided by its norm, and
-    any other is refused.  The columns must be pairwise orthogonal to
+    The matrix must be real (a complex one is refused, not truncated);
+    it is copied to float and must be square, non-empty and finite.  A
+    column whose norm is within ``NORM_TOLERANCE`` of 1 keeps its bits,
+    one within ``RENORM_TOLERANCE`` is divided by its norm, and any
+    other is refused.  The columns must be pairwise orthogonal to
     within ``ORTHO_TOLERANCE``.  The copy is kept read-only.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
+        m = np.asarray(self.matrix)
+        if m.dtype.kind == "c":
+            raise ValueError(f"matrix must be real, got dtype {m.dtype}")
+        m = np.array(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
             raise ValueError(f"matrix must be square and non-empty, got shape {m.shape}")
         m = _unit_columns(m)

@@ -29,13 +29,12 @@ the signs of R's diagonal moved into Q (Mezzadri, Notices AMS 54,
 """
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .colouring import ColouringParams, OrthonormalBasis, colour_masks
-from .numerics import MAX_SAMPLED_DIM, check_dimension, check_run, check_seed
+from .numerics import MAX_SAMPLED_DIM, check_dimension, check_run
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -58,41 +57,25 @@ _SLICE_DOUBLES = MAX_SAMPLED_DIM
 _DEGENERATE = 1e-8
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A Bernoulli Monte Carlo estimate with its exact-formula standard error."""
 
     value: float
     samples: int
     seed: int
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError(f"value {self.value!r} outside [0, 1]")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-        check_seed(self.seed)
-
     @property
     def std_error(self) -> float:
         return math.sqrt(self.value * (1.0 - self.value) / self.samples)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     """Counts of colouring-constraint violations over sampled bases."""
 
     samples: int
     black_pair_count: int
     all_white_count: int
     full_without_one_black_count: int
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-        for name in ("black_pair_count", "all_white_count", "full_without_one_black_count"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
     @property
     def total_violations(self) -> int:

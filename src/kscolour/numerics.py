@@ -6,7 +6,7 @@ surface ratio that the area fractions are written in terms of.
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "QuadratureConfig",
@@ -26,22 +26,27 @@ class QuadratureError(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
+class QuadratureConfig(namedtuple("QuadratureConfig", ("abs_tol", "rel_tol"))):
     """Tolerances for the area-fraction series and the basis closed forms.
 
     A result must have its error bound below
-    ``max(abs_tol, rel_tol * result)``; see :func:`certify`.
+    ``max(abs_tol, rel_tol * result)``; see :func:`certify`.  Both come
+    from the CLI's flags or from callers, so both are checked here.
     """
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
+    def __new__(cls, abs_tol: float = 1e-12, rel_tol: float = 1e-10):
+        if not (abs_tol > 0 and math.isfinite(abs_tol)):
             raise ValueError("abs_tol must be positive and finite")
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+        if not (rel_tol > 0 and math.isfinite(rel_tol)):
             raise ValueError("rel_tol must be positive and finite")
+        return super().__new__(cls, abs_tol, rel_tol)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks.
+        return cls(*iterable)
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -96,16 +101,11 @@ MAX_SAMPLED_DIM = 1 << 20
 SEED_LIMIT = 1 << 64
 
 
-def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is an unsigned 64-bit integer."""
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError("seed must be an integer")
-    if not (0 <= seed < SEED_LIMIT):
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
 def check_run(dim: int, samples: int, seed: int) -> None:
-    """Raise ValueError unless (dim, samples, seed) is a Monte Carlo run that can be drawn."""
+    """Raise ValueError unless (dim, samples, seed) is a Monte Carlo run that can be drawn.
+
+    The seed must be an unsigned 64-bit integer.
+    """
     check_dimension(dim)
     if dim > MAX_SAMPLED_DIM:
         raise ValueError(f"dimension must be at most {MAX_SAMPLED_DIM}, where one row fills a draw")
@@ -113,7 +113,10 @@ def check_run(dim: int, samples: int, seed: int) -> None:
         raise ValueError("samples must be an integer")
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    check_seed(seed)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError("seed must be an integer")
+    if not (0 <= seed < SEED_LIMIT):
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 def surface_ratio(n_dim: int) -> float:

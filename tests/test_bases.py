@@ -276,14 +276,6 @@ def test_basis_fraction_4d_stable_under_tighter_tolerances():
 def test_result_validation():
     r = BasisFractionResult(dim=4, raw_integral=1.0, normalizer=8.0)
     assert (r.combinatorial_factor, r.fraction) == (4, 0.5)
-    with pytest.raises(ValueError):
-        BasisFractionResult(dim=3, raw_integral=1.0, normalizer=-2.0)
-    with pytest.raises(ValueError):
-        BasisFractionResult(dim=2, raw_integral=1.0, normalizer=2.0)
-    with pytest.raises(ValueError, match="outside"):
-        BasisFractionResult(dim=3, raw_integral=1.0, normalizer=2.0)
-    with pytest.raises(ValueError, match="outside"):
-        BasisFractionResult(dim=3, raw_integral=-1.0, normalizer=6.0)
     with pytest.raises(TypeError):
         BasisFractionResult(dim=3, raw_integral=1.0, normalizer=6.0, fraction=0.5)
 

@@ -132,6 +132,7 @@ def test_scan_manifest_sidecar(tmp_path):
     manifest_path = tmp_path / "rows.csv.manifest.json"
     assert manifest_path.exists()
     manifest = json.loads(manifest_path.read_text())
+    assert list(manifest) == ["command_line", "seed", "abs_tol", "rel_tol", "tool_version", "wall_time_s"]
     assert manifest["tool_version"] == __version__
     assert manifest["seed"] is None
     assert manifest["abs_tol"] == 1e-12

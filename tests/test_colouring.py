@@ -87,6 +87,13 @@ def test_basis_rejects_non_finite_entries():
             OrthonormalBasis(m)
 
 
+def test_basis_rejects_complex_input():
+    # Casting to float would drop the imaginary parts and accept the identity.
+    for bad in (np.eye(3) + 1j * np.ones((3, 3)), np.eye(3, dtype=complex), [[1j, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError, match="must be real"):
+            OrthonormalBasis(bad)
+
+
 def test_basis_rejects_non_orthogonal():
     s = math.sqrt(0.5)
     with pytest.raises(ValueError, match="orthogonal"):

@@ -4,7 +4,7 @@ import sys
 import pytest
 from helpers import belt_edge_angle, quad
 
-from kscolour.numerics import QuadratureConfig, QuadratureError, certify, surface_ratio
+from kscolour.numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, certify, surface_ratio
 
 
 def test_config_validation():
@@ -14,6 +14,18 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1e-8)
     with pytest.raises(TypeError):
         QuadratureConfig(max_subdivisions=50)
+    # _replace builds a new config, so it is checked too.
+    with pytest.raises(ValueError):
+        DEFAULT_QUADRATURE._replace(abs_tol=math.inf)
+    assert DEFAULT_QUADRATURE._replace(rel_tol=1e-8) == QuadratureConfig(1e-12, 1e-8)
+
+
+def test_config_is_a_read_only_record():
+    cfg = QuadratureConfig(abs_tol=1e-13)
+    assert repr(cfg) == "QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10)"
+    assert repr(DEFAULT_QUADRATURE) == "QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)"
+    with pytest.raises(AttributeError):
+        cfg.abs_tol = 1e-6
 
 
 def test_certify_checks_bound_against_abs_or_rel_tolerance():

@@ -27,10 +27,10 @@ def _detach_lazy_names(monkeypatch):
 
 
 def test_import_leaves_numpy_unloaded():
-    code = (
-        "import sys, kscolour, kscolour.cli; "
-        "print([m for m in ('numpy', 'kscolour.colouring', 'kscolour.montecarlo') if m in sys.modules])"
-    )
+    # dataclasses would load inspect, ast, dis and tokenize, so the records
+    # every command imports are named tuples.
+    modules = ("numpy", "kscolour.colouring", "kscolour.montecarlo", "dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, kscolour, kscolour.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
 

@@ -16,13 +16,27 @@ END_TO_END = [
 ]
 
 
-def _runs(**series):
-    """Run records in the shape ``main`` keeps: one per side and pair, metric -> {"value": v}."""
+def _runs(failed=None, **series):
+    """Run records in the shape ``main`` keeps: one per side and pair, metric -> {"value": v}.
+
+    Each run attempts 100 operations; ``failed`` maps a side to its runs'
+    failure counts (none by default), and a run with failures is not correct.
+    """
     runs = []
     for side in pairs.SIDES:
         for i in range(len(series["ops_per_s"][side])):
             metrics = {name: {"value": values[side][i]} for name, values in series.items()}
-            runs.append({"seed": 900 + i, "side": side, "metrics": metrics})
+            fails = failed[side][i] if failed else 0
+            runs.append(
+                {
+                    "seed": 900 + i,
+                    "side": side,
+                    "correct": not fails,
+                    "attempted": 100,
+                    "failed": fails,
+                    "metrics": metrics,
+                }
+            )
     return runs
 
 
@@ -81,3 +95,20 @@ def test_summarise_ties_count_for_neither_side():
         assert out[name]["median_gap"] == 0.0
         assert out[name]["gap_exceeds_parent_iqr"] is False
         assert out[name]["worse_by"] == 0.0 and out[name]["within_bound"] is True
+
+
+def test_operations_when_the_change_fails_more():
+    same = {"parent": [3.0, 3.0, 3.0], "change": [3.0, 3.0, 3.0]}
+    runs = _runs(failed={"parent": [0, 1, 0], "change": [2, 0, 1]}, ops_per_s=same)
+    out = pairs.operations(runs)
+    assert out["parent"] == {"attempted": 300, "failed": 1, "failed_share": 1 / 300, "all_correct": False}
+    assert out["change"] == {"attempted": 300, "failed": 3, "failed_share": 3 / 300, "all_correct": False}
+    assert out["failed_share_not_higher"] is False
+
+
+def test_operations_when_neither_side_fails():
+    same = {"parent": [3.0, 3.0], "change": [3.0, 3.0]}
+    out = pairs.operations(_runs(ops_per_s=same))
+    for side in pairs.SIDES:
+        assert out[side] == {"attempted": 200, "failed": 0, "failed_share": 0.0, "all_correct": True}
+    assert out["failed_share_not_higher"] is True
