@@ -9,7 +9,8 @@ dimension fixes both bounds: the caps start at 1/sqrt(2) and the belt
 ends at 1/sqrt(dim), as in Appleby's construction carried to R^N.
 Black plays the role of truth value 1, White of 0; the two constraints
 a colouring must respect on orthonormal bases are "never two Black
-vectors" and "never an all-White basis".
+vectors" and "never an all-White basis".  A basis is a real matrix M
+of columns, |M^T M - I| <= ORTHO_TOLERANCE entrywise, never renormalised.
 """
 
 import math
@@ -27,16 +28,10 @@ __all__ = [
     "colour_masks",
     "classify_basis",
     "ks_satisfied",
-    "NORM_TOLERANCE",
-    "RENORM_TOLERANCE",
     "ORTHO_TOLERANCE",
 ]
 
-# |norm - 1| up to NORM_TOLERANCE is accepted as already unit; up to
-# RENORM_TOLERANCE a basis column is silently renormalized; beyond that
-# construction fails.
-NORM_TOLERANCE = 1e-12
-RENORM_TOLERANCE = 1e-9
+# The largest entry of |M^T M - I| a basis matrix M may have.
 ORTHO_TOLERANCE = 1e-12
 
 # math.sqrt(0.5) is the correctly rounded double for 1/sqrt(2);
@@ -70,40 +65,15 @@ class ColouringParams:
         object.__setattr__(self, "white_bound", 1.0 / math.sqrt(self.dim))
 
 
-def _unit_columns(m: np.ndarray) -> np.ndarray:
-    """``m``, a float matrix, with every column of unit norm.
-
-    A column whose norm deviates from 1 by more than ``NORM_TOLERANCE``
-    but at most ``RENORM_TOLERANCE`` is divided by its norm; a larger
-    deviation, or a non-finite entry, raises ValueError.  The other
-    columns keep their bits.
-    """
-    sq_norms = np.einsum("ij,ij->j", m, m)
-    # Only a non-finite sum of squares can hide a non-finite entry, so
-    # the matrix is scanned only then.
-    if not np.isfinite(sq_norms).all() and not np.isfinite(m).all():
-        raise ValueError("components must be finite")
-    norms = np.sqrt(sq_norms)
-    deviation = np.abs(norms - 1.0)
-    worst = int(deviation.argmax())
-    if deviation[worst] > RENORM_TOLERANCE:
-        raise ValueError(f"norm {float(norms[worst])!r} deviates from 1 by more than {RENORM_TOLERANCE}")
-    renorm = deviation > NORM_TOLERANCE
-    if renorm.any():
-        m = m / np.where(renorm, norms, 1.0)
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class OrthonormalBasis:
     """An ordered orthonormal basis of R^N: column j of ``matrix`` is vector j.
 
     The matrix must be real (a complex one is refused, not truncated);
-    it is copied to float and must be square, non-empty and finite.  A
-    column whose norm is within ``NORM_TOLERANCE`` of 1 keeps its bits,
-    one within ``RENORM_TOLERANCE`` is divided by its norm, and any
-    other is refused.  The columns must be pairwise orthogonal to
-    within ``ORTHO_TOLERANCE``.  The copy is kept read-only.
+    it is copied to float and must be square, non-empty and finite.  One
+    check covers unit norms and orthogonality: every entry of M^T M - I
+    must be at most ``ORTHO_TOLERANCE`` in absolute value.  Nothing is
+    renormalised: the copy keeps its bits and is kept read-only.
     """
 
     matrix: np.ndarray
@@ -115,12 +85,13 @@ class OrthonormalBasis:
         m = np.array(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
             raise ValueError(f"matrix must be square and non-empty, got shape {m.shape}")
-        m = _unit_columns(m)
-        gram = m.T @ m
-        np.fill_diagonal(gram, 0.0)
-        worst = float(np.abs(gram).max())
-        if worst > ORTHO_TOLERANCE:
-            raise ValueError(f"vectors are not pairwise orthogonal: |<u,v>| up to {worst:.3e}")
+        if not np.isfinite(m).all():
+            raise ValueError("components must be finite")
+        # An entry above about 1e154 overflows the product: refused, not warned of.
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = float(np.abs(m.T @ m - np.eye(len(m))).max())
+        if not worst <= ORTHO_TOLERANCE:
+            raise ValueError(f"matrix is not orthonormal: |M^T M - I| up to {worst:.3e} exceeds {ORTHO_TOLERANCE}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -147,8 +118,8 @@ def _colour(white: bool, black: bool) -> Colour:
     return Colour.UNCOLOURED
 
 
-def _row_masks(basis: OrthonormalBasis, params: ColouringParams) -> list[tuple[bool, bool]]:
-    """(white, black) of each basis vector, in basis order.
+def classify_basis(basis: OrthonormalBasis, params: ColouringParams) -> list[Colour]:
+    """Colours of the basis vectors, in basis order.
 
     Reads the distinguished row of the basis matrix once, as floats:
     for the few components of one basis, scalar tests are faster than
@@ -156,12 +127,7 @@ def _row_masks(basis: OrthonormalBasis, params: ColouringParams) -> list[tuple[b
     """
     if basis.dim != params.dim:
         raise ValueError(f"basis dimension {basis.dim} does not match params dimension {params.dim}")
-    return [colour_masks(abs(t), params) for t in basis.matrix[-1].tolist()]
-
-
-def classify_basis(basis: OrthonormalBasis, params: ColouringParams) -> list[Colour]:
-    """Colours of the basis vectors, in basis order."""
-    return [_colour(white, black) for white, black in _row_masks(basis, params)]
+    return [_colour(*colour_masks(abs(t), params)) for t in basis.matrix[-1].tolist()]
 
 
 def ks_satisfied(basis: OrthonormalBasis, params: ColouringParams) -> bool:
@@ -171,5 +137,5 @@ def ks_satisfied(basis: OrthonormalBasis, params: ColouringParams) -> bool:
     White.  A fully coloured basis that satisfies both has exactly one
     Black vector.
     """
-    masks = _row_masks(basis, params)
-    return sum(black for _, black in masks) <= 1 and not all(white for white, _ in masks)
+    colours = classify_basis(basis, params)
+    return colours.count(Colour.BLACK) <= 1 and colours.count(Colour.WHITE) < len(colours)

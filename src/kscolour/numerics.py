@@ -67,10 +67,11 @@ MAX_DIM = int(sys.float_info.max)
 def certify(value: float, bound: float, config: QuadratureConfig | None) -> float:
     """Return ``value`` once its error ``bound`` meets ``config``'s tolerance.
 
-    Raises QuadratureError when ``bound > max(abs_tol, rel_tol * value)``.
+    Raises QuadratureError unless ``bound <= abs_tol`` or
+    ``bound <= rel_tol * value``, so a NaN bound is refused.
     """
     cfg = config if config is not None else DEFAULT_QUADRATURE
-    if bound > max(cfg.abs_tol, cfg.rel_tol * value):
+    if not (bound <= cfg.abs_tol or bound <= cfg.rel_tol * value):
         raise QuadratureError(
             f"error bound {bound:.3e} exceeds tolerance "
             f"max({cfg.abs_tol:.3e}, {cfg.rel_tol:.3e} * {value:.6e})"

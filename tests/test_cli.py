@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,11 +80,20 @@ def test_version_flag():
 
 
 def test_console_script_installed():
+    # The entry point declared in pyproject.toml (read with a regex: Python
+    # 3.10 has no tomllib) runs; the installed script is run too when it
+    # is on PATH.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert scripts is not None
+    assert re.findall(r'^kscolour\s*=\s*"([^"]*)"', scripts.group(1), re.M) == ["kscolour.cli:run"]
+    commands = [[sys.executable, "-c", "from kscolour.cli import run; run()", "--version"]]
     exe = shutil.which("kscolour")
-    if exe is None:
-        pytest.skip("console script not on PATH in this environment")
-    proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
-    assert proc.returncode == 0 and __version__ in proc.stdout
+    if exe is not None:
+        commands.append([exe, "--version"])
+    for command in commands:
+        proc = subprocess.run(command, capture_output=True, text=True)
+        assert proc.returncode == 0 and __version__ in proc.stdout
 
 
 def test_area_dim3():

@@ -60,23 +60,33 @@ def test_basis_construction_and_matrix_roundtrip():
     assert np.array_equal(again.matrix, np.eye(4))
 
 
-def test_basis_renormalizes_small_column_deviation():
+def test_basis_refuses_small_column_deviation():
+    # A column off unit norm by 2e-10 is refused, not renormalised.
     m = np.eye(3)
     m[:, 1] *= 1.0 + 2e-10
-    b = OrthonormalBasis(m)
-    assert abs(float(np.linalg.norm(b.matrix[:, 1])) - 1.0) <= 1e-15
-    # Columns within NORM_TOLERANCE keep their bits.
-    assert np.array_equal(b.matrix[:, [0, 2]], np.eye(3)[:, [0, 2]])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        OrthonormalBasis(m)
 
 
 def test_basis_rejects_large_column_deviation():
     # A column off unit norm by 1e-6, scaled to 1.5, zero, or so large
-    # that its squared norm overflows.
+    # that its squared norm overflows (refused without a warning).
     for column, scale in ((2, 1.0 + 1e-6), (2, 1.5), (1, 0.0), (0, 1e200)):
         m = np.eye(3)
         m[:, column] *= scale
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="deviates"):
+        with pytest.raises(ValueError, match="not orthonormal"):
             OrthonormalBasis(m)
+
+
+def test_basis_gram_tolerance_boundary():
+    # An inner product of 5e-13 is within ORTHO_TOLERANCE and keeps its
+    # bits; one of 2e-12 is refused.
+    m = np.eye(3)
+    m[0, 1] = 5e-13
+    assert np.array_equal(OrthonormalBasis(m).matrix, m)
+    m[0, 1] = 2e-12
+    with pytest.raises(ValueError, match="not orthonormal"):
+        OrthonormalBasis(m)
 
 
 def test_basis_rejects_non_finite_entries():
@@ -96,7 +106,7 @@ def test_basis_rejects_complex_input():
 
 def test_basis_rejects_non_orthogonal():
     s = math.sqrt(0.5)
-    with pytest.raises(ValueError, match="orthogonal"):
+    with pytest.raises(ValueError, match="not orthonormal"):
         OrthonormalBasis(np.array([[1.0, s, 0.0], [0.0, s, 0.0], [0.0, 0.0, 1.0]]))
 
 

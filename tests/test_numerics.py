@@ -34,7 +34,8 @@ def test_certify_checks_bound_against_abs_or_rel_tolerance():
     assert certify(2.0, 2e-10, cfg) == 2.0
     assert certify(1e-6, 1e-12, cfg) == 1e-6
     assert certify(0.5, 1e-13, None) == 0.5
-    for value, bound in ((2.0, 2.1e-10), (1e-6, 1.1e-12)):
+    # A NaN bound certifies nothing.
+    for value, bound in ((2.0, 2.1e-10), (1e-6, 1.1e-12), (0.5, math.nan)):
         with pytest.raises(QuadratureError, match="exceeds tolerance"):
             certify(value, bound, cfg)
 
