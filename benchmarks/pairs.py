@@ -16,9 +16,12 @@ run prints last and writes ``BENCH_<label>.json`` holding:
 - per end-to-end metric of the change's ``BENCHMARK.json``: each side's
   median and quartiles, the number of pairs the change wins, whether
   the gap between the medians exceeds the parent's quartile spread,
-  and ``worse_by``, the change's median relative to the parent's
-  (positive when worse), with ``within_bound`` telling whether it is
-  at most the metric's ``bound``;
+  ``claim_rule_met`` (the change wins at least 9 of every 10 pairs,
+  ties counting for neither side, and its median is better than the
+  parent's by more than that spread), and ``worse_by``, the change's
+  median relative to the parent's (positive when worse), with
+  ``within_bound`` telling whether it is at most the metric's
+  ``bound``;
 - per side: the operations ``attempted`` and ``failed`` over all its
   runs, ``failed_share`` (failed over attempted) and ``all_correct``
   (every run's checks passed), and ``failed_share_not_higher``,
@@ -93,16 +96,20 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             q1, median, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
             stats[side] = {"median": median, "q1": q1, "q3": q3}
         gap = stats["change"]["median"] - stats["parent"]["median"]
-        worse_by = (-gap if higher else gap) / stats["parent"]["median"]
+        gain = gap if higher else -gap
+        worse_by = -gain / stats["parent"]["median"]
+        parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        pairs = len(values["parent"])
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             **stats,
             "change_wins": wins,
-            "pairs": len(values["parent"]),
+            "pairs": pairs,
             "median_gap": gap,
-            "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
-            "gap_exceeds_parent_iqr": abs(gap) > stats["parent"]["q3"] - stats["parent"]["q1"],
+            "parent_iqr": parent_iqr,
+            "gap_exceeds_parent_iqr": abs(gap) > parent_iqr,
+            "claim_rule_met": 10 * wins >= 9 * pairs and gain > parent_iqr,
             "bound": spec["bound"],
             "worse_by": worse_by,
             "within_bound": worse_by <= spec["bound"],

@@ -290,11 +290,12 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """Console-script and ``python -m kscolour`` entry: ``main()`` as the exit code.
 
-    The sampling commands make no BLAS call, so numpy's OpenBLAS is
-    held to the calling thread; otherwise its idle workers, one per
-    further core, busy-wait on CPU the run is charged for.  A value
-    already in the environment wins.  Set here, before numpy can load,
-    and not in ``main()``, which in-process callers use.
+    The sampling commands' only BLAS calls are small mat-vecs that
+    count colours, so numpy's OpenBLAS is held to the calling thread;
+    otherwise its idle workers, one per further core, busy-wait on CPU
+    the run is charged for.  A value already in the environment wins.
+    Set here, before numpy can load, and not in ``main()``, which
+    in-process callers use.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())

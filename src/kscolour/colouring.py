@@ -85,12 +85,15 @@ class OrthonormalBasis:
         m = np.array(m, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
             raise ValueError(f"matrix must be square and non-empty, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("components must be finite")
         # An entry above about 1e154 overflows the product: refused, not warned of.
         with np.errstate(over="ignore", invalid="ignore"):
-            worst = float(np.abs(m.T @ m - np.eye(len(m))).max())
+            gram = m.T @ m
+            gram.flat[:: len(m) + 1] -= 1.0
+            worst = float(np.abs(gram).max())
         if not worst <= ORTHO_TOLERANCE:
+            # A non-finite entry leaves a non-finite diagonal, so it is refused here.
+            if not np.isfinite(m).all():
+                raise ValueError("components must be finite")
             raise ValueError(f"matrix is not orthonormal: |M^T M - I| up to {worst:.3e} exceeds {ORTHO_TOLERANCE}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

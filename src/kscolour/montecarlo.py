@@ -22,7 +22,12 @@ A basis is fully coloured, or breaks a constraint, according to the
 distinguished components of its vectors, which form one row of its
 matrix.  A row of a Haar-random orthogonal matrix is a uniform unit
 vector (the transpose of a Haar matrix is Haar), so the basis
-estimators sample that row directly.  Whole bases, for callers that
+estimators sample that row directly.  Each row's White count and Black
+count are the mat-vec products of its masks with a vector of ones:
+float sums, exact for any row length allowed.  A row is fully coloured
+when the two counts add up to the dimension.  That holds only because
+the masks are disjoint, which needs the belt bound below the cap bound:
+1/sqrt(N) < 1/sqrt(2) for every N >= 3.  Whole bases, for callers that
 want them, come from the QR decomposition of a Gaussian matrix with
 the signs of R's diagonal moved into Q (Mezzadri, Notices AMS 54,
 2007), which makes Q Haar-distributed.
@@ -129,6 +134,17 @@ def _abs_unit_rows(dim: int, samples: int, seed: int) -> Iterator[np.ndarray]:
         yield rows
 
 
+def _colour_counts(t: np.ndarray, params: ColouringParams) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's White count and Black count, as floats.
+
+    The masks are disjoint (white_bound < black_bound), so the counts
+    add up to the row length exactly when every component is coloured.
+    """
+    white, black = colour_masks(t, params)
+    ones = np.ones(t.shape[1])
+    return white @ ones, black @ ones
+
+
 def sample_basis(dim: int, rng: np.random.Generator) -> OrthonormalBasis:
     """One Haar-uniform ordered orthonormal basis of R^dim.
 
@@ -138,7 +154,7 @@ def sample_basis(dim: int, rng: np.random.Generator) -> OrthonormalBasis:
     """
     check_dimension(dim)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return OrthonormalBasis(q * np.copysign(1.0, np.diag(r)))
+    return OrthonormalBasis(q * np.copysign(1.0, r.diagonal()))
 
 
 def estimate_vector_fractions(dim: int, samples: int, seed: int) -> tuple[Estimate, Estimate, Estimate]:
@@ -191,8 +207,8 @@ def estimate_basis_fraction(dim: int, samples: int, seed: int) -> Estimate:
     params = ColouringParams(dim=dim)
     hits = 0
     for t in _abs_unit_rows(dim, samples, seed):
-        white, black = colour_masks(t, params)
-        hits += int(np.count_nonzero((white | black).all(axis=1)))
+        whites, blacks = _colour_counts(t, params)
+        hits += int(np.count_nonzero(whites + blacks == dim))
     return Estimate(hits / samples, samples, seed)
 
 
@@ -211,12 +227,10 @@ def verify_constraints(dim: int, samples: int, seed: int) -> ViolationReport:
     all_white = 0
     bad_full = 0
     for t in _abs_unit_rows(dim, samples, seed):
-        white, black = colour_masks(t, params)
-        blacks_per_basis = np.count_nonzero(black, axis=1)
-        full = (white | black).all(axis=1)
-        pairs += int(np.count_nonzero(blacks_per_basis >= 2))
-        all_white += int(np.count_nonzero(white.all(axis=1)))
-        bad_full += int(np.count_nonzero(full & (blacks_per_basis != 1)))
+        whites, blacks = _colour_counts(t, params)
+        pairs += int(np.count_nonzero(blacks >= 2))
+        all_white += int(np.count_nonzero(whites == dim))
+        bad_full += int(np.count_nonzero((whites + blacks == dim) & (blacks != 1)))
     return ViolationReport(
         samples=samples,
         black_pair_count=pairs,

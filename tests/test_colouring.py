@@ -90,9 +90,16 @@ def test_basis_gram_tolerance_boundary():
 
 
 def test_basis_rejects_non_finite_entries():
+    # The finite message wins over the orthonormal one, also when the
+    # matrix is neither finite nor orthonormal.
+    s = math.sqrt(0.5)
+    not_orthogonal = np.array([[1.0, s, 0.0], [0.0, s, 0.0], [0.0, 0.0, math.inf]])
+    cases = [np.full((3, 3), math.nan), not_orthogonal]
     for bad in (math.nan, math.inf, -math.inf):
         m = np.eye(3)
         m[1, 0] = bad
+        cases.append(m)
+    for m in cases:
         with pytest.raises(ValueError, match="finite"):
             OrthonormalBasis(m)
 

@@ -272,23 +272,31 @@ def test_verify_constraints_all_clean():
         assert report.full_without_one_black_count == 0
 
 
-@pytest.mark.parametrize("white_bound, black_bound", [(0.1, 0.2), (0.8, 0.9)], ids=["narrow_caps", "wide_belt"])
-def test_verify_constraints_counts_violations(monkeypatch, white_bound, black_bound):
-    # Under bounds of no colouring the constraints fail; the report must
-    # hold the violations a row-by-row recount of the same draws finds.
+@pytest.mark.parametrize(
+    "dim, white_bound, black_bound",
+    [(3, 0.1, 0.2), (3, 0.8, 0.9), (300, 0.8, 0.9)],
+    ids=["narrow_caps", "wide_belt", "wide_belt_dim300"],
+)
+def test_verify_constraints_counts_violations(monkeypatch, dim, white_bound, black_bound):
+    # Under bounds of no colouring the constraints fail; the report and
+    # the basis fraction must hold what a row-by-row recount of the same
+    # draws finds.  At dim 300 nearly every row has 300 Whites, so a
+    # count kept in a type that wraps at 255 would be caught.
     monkeypatch.setattr(montecarlo, "ColouringParams", lambda dim: bounds_stand_in(dim, white_bound, black_bound))
-    pairs = all_white = bad_full = 0
-    for t in montecarlo._abs_unit_rows(3, 2000, 7):
+    pairs = all_white = bad_full = hits = 0
+    for t in montecarlo._abs_unit_rows(dim, 2000, 7):
         for row in t.tolist():
             blacks = sum(x > black_bound for x in row)
             whites = sum(x < white_bound for x in row)
             pairs += blacks >= 2
             all_white += whites == len(row)
             bad_full += blacks + whites == len(row) and blacks != 1
-    report = verify_constraints(3, 2000, 7)
+            hits += blacks + whites == len(row)
+    report = verify_constraints(dim, 2000, 7)
     assert report == ViolationReport(
         samples=2000, black_pair_count=pairs, all_white_count=all_white, full_without_one_black_count=bad_full
     )
+    assert estimate_basis_fraction(dim, 2000, 7) == Estimate(hits / 2000, 2000, 7)
     assert pairs + all_white > 0
     assert not report.clean
 

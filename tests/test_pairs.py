@@ -68,6 +68,7 @@ def test_summarise_medians_quartiles_wins_and_gap():
     assert ops["change_wins"] == 4 and ops["pairs"] == 5
     assert ops["median_gap"] == 13 and ops["parent_iqr"] == 2
     assert ops["gap_exceeds_parent_iqr"] is True
+    assert ops["claim_rule_met"] is False  # 4 of 5 pairs is below 9 of 10
     assert (ops["unit"], ops["better"]) == ("1/s", "higher")
     assert ops["bound"] == 0.25
     assert ops["worse_by"] == pytest.approx(-13 / 12) and ops["within_bound"] is True
@@ -77,6 +78,7 @@ def test_summarise_medians_quartiles_wins_and_gap():
     assert p50["change_wins"] == 1
     assert p50["median_gap"] == 48 and p50["parent_iqr"] == 2
     assert p50["gap_exceeds_parent_iqr"] is True  # set for a regression too
+    assert p50["claim_rule_met"] is False
     assert p50["worse_by"] == pytest.approx(48 / 102) and p50["within_bound"] is False
 
     rss = out["peak_rss_mb"]
@@ -95,6 +97,42 @@ def test_summarise_ties_count_for_neither_side():
         assert out[name]["median_gap"] == 0.0
         assert out[name]["gap_exceeds_parent_iqr"] is False
         assert out[name]["worse_by"] == 0.0 and out[name]["within_bound"] is True
+
+
+_PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]  # median 104.5, IQR 4.5
+
+
+@pytest.mark.parametrize(
+    "change, met",
+    [
+        # 10 of 10 pairs better, median 10 above: the claim holds.
+        ([v + 10 for v in _PARENT], True),
+        # 9 wins and a tie: the tie counts for neither side, 9 of 10 is enough.
+        ([v + 10 for v in _PARENT[:9]] + [109.0], True),
+        # 8 wins and two ties: too few pairs.
+        ([v + 10 for v in _PARENT[:8]] + [108.0, 109.0], False),
+        # 8 wins and two losses, median far above: too few pairs.
+        ([v + 10 for v in _PARENT[:8]] + [90.0, 90.0], False),
+        # 10 of 10 pairs better by 1, a gap inside the parent IQR.
+        ([v + 1 for v in _PARENT], False),
+        # 10 of 10 pairs worse by 10: the gap exceeds the IQR the wrong way.
+        ([v - 10 for v in _PARENT], False),
+    ],
+    ids=["wins_all", "nine_and_a_tie", "eight_and_two_ties", "eight_and_two_losses", "inside_iqr", "worse"],
+)
+def test_summarise_claim_rule(change, met):
+    # The same series as ops_per_s (higher is better) and, mirrored, as
+    # latency_p50_ms (lower is better): the rule must agree on both.
+    runs = _runs(
+        ops_per_s={"parent": _PARENT, "change": change},
+        latency_p50_ms={"parent": [300 - v for v in _PARENT], "change": [300 - v for v in change]},
+        peak_rss_mb={"parent": _PARENT, "change": _PARENT},
+    )
+    out = pairs.summarise(runs, END_TO_END)
+    assert out["ops_per_s"]["parent_iqr"] == 4.5
+    assert out["ops_per_s"]["claim_rule_met"] is met
+    assert out["latency_p50_ms"]["claim_rule_met"] is met
+    assert out["peak_rss_mb"]["claim_rule_met"] is False
 
 
 def test_operations_when_the_change_fails_more():
