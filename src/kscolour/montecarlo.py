@@ -8,7 +8,10 @@ chunk index.  Each chunk is drawn in row slices of at most
 _SLICE_DOUBLES normals (8 MiB), and runs above dimension 2^20, whose
 one row would exceed that, are refused.  Philox yields the same
 normals whether a chunk is drawn in one call or in slices, so results
-are integer counts that do not depend on the slice size.
+are integer counts that do not depend on the slice size.  Each slice is
+drawn once and never re-drawn, because a row fails to divide to a unit
+vector only when every component is below about 1e-154 in size, which
+a standard normal draw is with probability below 1e-150.
 
 Each row's norm is formed once, as the square root of its
 ``einsum("ij,ij->i")`` sum of squares.  A count divides only the
@@ -59,7 +62,6 @@ RNG_FAMILY = "philox4x64"
 # up to dimension 16; beyond that a chunk is drawn in several slices,
 # down to one row per slice at MAX_SAMPLED_DIM.
 _SLICE_DOUBLES = MAX_SAMPLED_DIM
-_DEGENERATE = 1e-8
 
 
 class Estimate(NamedTuple):
@@ -104,26 +106,19 @@ def _slices(dim: int, samples: int) -> Iterator[tuple[int, list[int]]]:
         yield index, [min(step, count - offset) for offset in range(0, count, step)]
 
 
-def _normal_rows(dim: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(count, dim) Gaussian rows, none near the origin, and their norms.
+def _row_stream(dim: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The run's Gaussian rows and their norms, one slice at a time.
 
     A row divided by its norm is a uniformly distributed unit vector.
+    Each slice is drawn once and never re-drawn: no component exceeds
+    its row's norm, and the norm is exact to rounding unless every
+    component is below about 1e-154 in size.
     """
-    rows = rng.standard_normal((count, dim))
-    while True:
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        idx = np.flatnonzero(norms < _DEGENERATE)
-        if not idx.size:
-            return rows, norms
-        rows[idx] = rng.standard_normal((idx.size, dim))
-
-
-def _row_stream(dim: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The run's Gaussian rows and their norms, one slice at a time."""
     for index, sizes in _slices(dim, samples):
         rng = _chunk_rng(seed, index)
-        for rows in sizes:
-            yield _normal_rows(dim, rows, rng)
+        for count in sizes:
+            rows = rng.standard_normal((count, dim))
+            yield rows, np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
 def _abs_unit_rows(dim: int, samples: int, seed: int) -> Iterator[np.ndarray]:

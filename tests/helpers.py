@@ -46,8 +46,8 @@ def sample_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """One uniformly distributed unit vector in R^dim."""
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError("dimension must be a positive integer")
-    rows, norms = montecarlo._normal_rows(dim, 1, rng)
-    return rows[0] / norms[0]
+    v = rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
 
 
 def axis_component_samples(dim: int, samples: int, seed: int) -> np.ndarray:

@@ -522,7 +522,7 @@ def test_montecarlo_dimension_beyond_one_row_per_draw_is_usage_error(command, mo
     def no_draw(*args):
         raise AssertionError("drew samples")
 
-    monkeypatch.setattr(montecarlo, "_normal_rows", no_draw)
+    monkeypatch.setattr(montecarlo, "_chunk_rng", no_draw)
     assert main([*command, "--dim", "1048577", "--samples", "1", "--seed", "1"]) == 1
     assert "at most 1048576" in capsys.readouterr().err
 

@@ -229,6 +229,32 @@ def test_vector_estimates_shard_invariant(monkeypatch):
     assert estimate_vector_fractions(7, 300, seed=14) == ref_row_by_row
 
 
+@pytest.mark.parametrize(
+    "dim, samples, slice_doubles",
+    [(3, 2 * CHUNK_SAMPLES + 123, None), (3, 2 * CHUNK_SAMPLES + 123, 4099), (7, 300, 5)],
+    ids=["whole_chunks", "ragged_slices", "one_row_per_draw"],
+)
+def test_row_stream_is_one_philox_draw_per_chunk(monkeypatch, dim, samples, slice_doubles):
+    # The stream every estimator reads: chunk j's rows are one
+    # standard_normal call of a Philox keyed by (seed, j), cut into
+    # slices in order, and each norm is the einsum one.  Built here
+    # without _chunk_rng, so a change to the key format fails too.
+    if slice_doubles is not None:
+        monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", slice_doubles)
+    seed = 2**64 - 1
+    expected = [
+        np.random.Generator(np.random.Philox(key=np.array([seed, j], dtype=np.uint64))).standard_normal(
+            (min(CHUNK_SAMPLES, samples - start), dim)
+        )
+        for j, start in enumerate(range(0, samples, CHUNK_SAMPLES))
+    ]
+    drawn = []
+    for rows, norms in montecarlo._row_stream(dim, samples, seed):
+        assert np.array_equal(norms, np.sqrt(np.einsum("ij,ij->i", rows, rows)))
+        drawn.append(rows)
+    assert np.array_equal(np.concatenate(drawn), np.concatenate(expected))
+
+
 def test_axis_samples_bitwise_reproducible():
     a = axis_component_samples(4, 70_000, seed=77)
     b = axis_component_samples(4, 70_000, seed=77)
@@ -341,40 +367,3 @@ def test_counted_rows_have_unit_norm():
     for dim in range(3, 65):
         for rows in montecarlo._abs_unit_rows(dim, 2000, seed=dim):
             assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-15
-
-
-class _ZeroFirstDraw:
-    """A generator whose first draw has the given rows set to zero."""
-
-    def __init__(self, zero_rows):
-        self.rng = np.random.default_rng(5)
-        self.zero_rows = zero_rows
-        self.draws = []
-
-    def standard_normal(self, shape):
-        out = self.rng.standard_normal(shape)
-        self.draws.append(out.copy())
-        if len(self.draws) == 1:
-            out[self.zero_rows] = 0.0
-        return out
-
-
-@pytest.mark.parametrize("zero_rows", [slice(None), [0, 3]], ids=["all_rows", "two_rows"])
-def test_degenerate_rows_are_redrawn(zero_rows):
-    # Only the zeroed rows are replaced, by the next draw, in order.
-    stub = _ZeroFirstDraw(zero_rows)
-    rows, norms = montecarlo._normal_rows(4, 5, stub)
-    first, second = stub.draws
-    expected = first.copy()
-    expected[zero_rows] = second
-    assert np.array_equal(rows, expected)
-    assert np.allclose(norms, np.linalg.norm(expected, axis=1), rtol=1e-15, atol=0.0)
-
-
-def test_estimator_redraws_degenerate_rows(monkeypatch):
-    # Through the estimator: a chunk whose first draw is all zeros still
-    # yields counts over unit rows, not over NaN quotients.
-    monkeypatch.setattr(montecarlo, "_chunk_rng", lambda seed, index: _ZeroFirstDraw(slice(None)))
-    w, b, u = estimate_vector_fractions(3, 1000, seed=1)
-    assert w.value + b.value + u.value == 1.0
-    assert 0.0 < w.value < 1.0 and 0.0 < b.value < 1.0

@@ -7,6 +7,11 @@ bases with ``sample_basis`` and reads them through ``classify_basis``,
 function of the layer modules.  So a change to those names or
 signatures shows up here as a failed or incorrect run, not first in a
 benchmark.
+
+Its cli workload runs ``python -m kscolour`` per request and reads the
+printed labels by regex, among them verify's "fully coloured without
+exactly one black" count, so a renamed or dropped label fails the tiny
+cli run here.
 """
 
 from pathlib import Path
@@ -36,3 +41,7 @@ def test_tiny_exact_run_is_correct(trace, monkeypatch):
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 def test_tiny_sampled_run_is_correct(trace, monkeypatch):
     _tiny_run("sampled", trace, monkeypatch)
+
+
+def test_tiny_cli_run_is_correct(monkeypatch):
+    _tiny_run("cli", False, monkeypatch)
