@@ -31,7 +31,6 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 
-SEED_ENV_VAR = "KSCOLOUR_SEED"
 CSV_HEADER = "N,white_fraction,black_fraction,total_fraction"
 
 _Z_NOTICE_THRESHOLD = 5.0
@@ -67,15 +66,9 @@ def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    """--seed flag, else the environment variable, else fresh entropy."""
+    """The --seed flag, else 63 bits of fresh entropy; the run prints either."""
     if args.seed is not None:
         return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     import secrets
 
     return secrets.randbits(63)

@@ -85,12 +85,8 @@ class ViolationReport(NamedTuple):
     full_without_one_black_count: int
 
     @property
-    def total_violations(self) -> int:
-        return self.black_pair_count + self.all_white_count + self.full_without_one_black_count
-
-    @property
     def clean(self) -> bool:
-        return self.total_violations == 0
+        return self.black_pair_count == self.all_white_count == self.full_without_one_black_count == 0
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:

@@ -11,7 +11,7 @@ import pytest
 
 from kscolour import __version__, area, cli, montecarlo
 from kscolour.area import argmin_total, total_fraction
-from kscolour.cli import EXIT_VERIFICATION, main
+from kscolour.cli import DIM4_DISCREPANCY_NOTICE, EXIT_VERIFICATION, main
 from kscolour.numerics import QuadratureError
 
 from helpers import bounds_stand_in
@@ -42,6 +42,57 @@ GOLDEN_BASIS_4 = (
     "fully coloured basis fraction: 0.341615053774 (34.162%)\n"
 )
 
+# The sampling commands' whole stdout, which perfbench reads by regex.
+_MC_HEADER = "method: montecarlo\nrng: philox4x64 (chunks of 65536 keyed by seed and chunk index)\n"
+GOLDEN_SAMPLING = {
+    "verify_dim3": (
+        ("verify", "--dim", "3", "--samples", "20000", "--seed", "7"),
+        "dimension: 3\n"
+        "samples: 20000\n"
+        "seed: 7\n"
+        "rng: philox4x64\n"
+        "orthogonal black pairs: 0\n"
+        "all-white bases: 0\n"
+        "fully coloured without exactly one black: 0\n"
+        "result: PASS\n",
+    ),
+    "basis_mc_dim3": (
+        ("basis", "--dim", "3", "--method", "montecarlo", "--samples", "20000", "--seed", "7"),
+        "dimension: 3\n" + _MC_HEADER + "samples: 20000\n"
+        "seed: 7\n"
+        "fully coloured basis fraction: 0.698300 +/- 0.003246\n"
+        "quadrature fraction: 0.695759466758\n"
+        "z-score vs quadrature: 0.78\n",
+    ),
+    "basis_mc_dim4": (
+        ("basis", "--dim", "4", "--method", "montecarlo", "--samples", "20000", "--seed", "7"),
+        "dimension: 4\n" + _MC_HEADER + "samples: 20000\n"
+        "seed: 7\n"
+        "fully coloured basis fraction: 0.455400 +/- 0.003521\n"
+        "quadrature fraction: 0.341615053774\n"
+        "z-score vs quadrature: 32.31\n"
+        "notice: in dimension 4 the quadrature prescription and the Monte Carlo\n"
+        "estimate disagree by far more than sampling error allows. The quadrature\n"
+        "number is reported exactly as prescribed; the sampled number stands as an\n"
+        "independent measurement of the fully-coloured-basis fraction.\n",
+    ),
+    "basis_mc_dim6": (
+        ("basis", "--dim", "6", "--method", "montecarlo", "--samples", "20000", "--seed", "4"),
+        "dimension: 6\n" + _MC_HEADER + "samples: 20000\n"
+        "seed: 4\n"
+        "fully coloured basis fraction: 0.161300 +/- 0.002601\n"
+        "no quadrature prescription for this dimension; sampled value stands alone\n",
+    ),
+    # One sample gives a value of 0 or 1, and so a standard error of 0.
+    "basis_mc_one_sample": (
+        ("basis", "--dim", "3", "--method", "montecarlo", "--samples", "1", "--seed", "0"),
+        "dimension: 3\n" + _MC_HEADER + "samples: 1\n"
+        "seed: 0\n"
+        "fully coloured basis fraction: 0.000000 +/- 0.000000\n"
+        "quadrature fraction: 0.695759466758\n"
+        "z-score vs quadrature: n/a (degenerate estimate)\n",
+    ),
+}
 
 # The refusal of a dimension that converts to no float.
 BEYOND_FLOAT = "dimension must be at most 1.7976931348623157e+308, the largest float"
@@ -54,7 +105,6 @@ def run_cli(
     *args: str, env_extra: dict | None = None, timeout: float | None = None, without_numpy: bool = False
 ) -> subprocess.CompletedProcess:
     env = os.environ.copy()
-    env.pop("KSCOLOUR_SEED", None)
     if env_extra:
         env.update(env_extra)
     entry = ["-c", _WITHOUT_NUMPY] if without_numpy else ["-m", "kscolour"]
@@ -246,23 +296,31 @@ def test_verify_passes_and_reports_zero_counts():
     assert "result: PASS" in proc.stdout
 
 
-def test_seed_from_environment():
-    proc = run_cli("verify", "--dim", "3", "--samples", "2000", env_extra={"KSCOLOUR_SEED": "99"})
-    assert proc.returncode == 0
-    assert "seed: 99" in proc.stdout
+@pytest.mark.parametrize("args, expected", list(GOLDEN_SAMPLING.values()), ids=list(GOLDEN_SAMPLING))
+def test_sampling_stdout_golden_bytes(args, expected, capsys):
+    assert main(list(args)) == 0
+    assert capsys.readouterr().out == expected
 
 
-def test_seed_flag_beats_environment():
-    proc = run_cli(
-        "verify", "--dim", "3", "--samples", "2000", "--seed", "7",
-        env_extra={"KSCOLOUR_SEED": "99"},
-    )
-    assert "seed: 7" in proc.stdout
+def test_basis_montecarlo_dim3_disagreement_prints_generic_notice(monkeypatch, capsys):
+    def far_from_quadrature(dim, samples, seed):
+        return montecarlo.Estimate(0.5, samples, seed)
+
+    monkeypatch.setattr(montecarlo, "estimate_basis_fraction", far_from_quadrature)
+    assert main(["basis", "--dim", "3", "--method", "montecarlo", "--samples", "20000", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("notice: sampled and quadrature values disagree beyond 5 sigma\n")
+    assert DIM4_DISCREPANCY_NOTICE not in out
 
 
-def test_bad_environment_seed_is_usage_error():
-    proc = run_cli("verify", "--dim", "3", "--samples", "2000", env_extra={"KSCOLOUR_SEED": "not-a-number"})
-    assert proc.returncode == 1
+def test_environment_sets_no_seed():
+    # Only --seed or fresh entropy seeds a run; this variable, even unparsable, is ignored.
+    env = {"KSCOLOUR_SEED": "not-a-number"}
+    seeded = run_cli("verify", "--dim", "3", "--samples", "2000", "--seed", "7", env_extra=env)
+    assert seeded.returncode == 0, seeded.stderr
+    assert "\nseed: 7\n" in seeded.stdout
+    drawn = run_cli("verify", "--dim", "3", "--samples", "2000", env_extra=env)
+    assert drawn.returncode == 0, drawn.stderr
 
 
 def test_missing_seed_draws_entropy_and_prints_it():
@@ -364,10 +422,9 @@ def test_basis_montecarlo_checks_the_tolerance_before_sampling(monkeypatch, caps
         "verify_zero_samples",
     ],
 )
-def test_library_refusals_are_usage_errors(args, message, monkeypatch, capsys):
+def test_library_refusals_are_usage_errors(args, message, capsys):
     # The CLI keeps no copies of these checks: the library's own message
     # reaches stderr, and nothing reaches stdout.
-    monkeypatch.delenv("KSCOLOUR_SEED", raising=False)
     assert main(args) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -600,7 +657,7 @@ def cli_then_report(report: str, *args: str) -> str:
         "except SystemExit as exc:\n"
         f"    print(exc.code, {report})\n"
     )
-    env = {k: v for k, v in os.environ.items() if k not in ("KSCOLOUR_SEED", "OPENBLAS_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
@@ -629,7 +686,6 @@ def test_run_defaults_openblas_to_one_thread_unless_set(preset, expected, monkey
 
 def test_main_leaves_the_environment_unchanged(monkeypatch, capsys):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("KSCOLOUR_SEED", raising=False)
     before = dict(os.environ)
     assert main(["verify", "--dim", "3", "--samples", "1000", "--seed", "1"]) == 0
     assert main(["basis", "--dim", "3", "--method", "montecarlo", "--samples", "1000"]) == 0
