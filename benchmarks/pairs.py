@@ -29,12 +29,16 @@ run prints last and writes ``BENCH_<label>.json`` holding:
 - per run: seed, side, order, ``correct``, ``attempted``, ``failed``
   and every metric;
 - the machine, the Python and numpy versions, the seeds and the
-  number of repeats.
+  number of repeats;
+- ``src_sha256``, per side a SHA-256 over the sorted paths and bytes
+  of the files under its ``src/`` (``__pycache__`` left out), so the
+  record names the code it measured, with or without ``.git``.
 
 Only the standard library is used.
 """
 
 import argparse
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -66,6 +70,22 @@ def run_once(root: Path, command: list[str], workload: str, seed: int) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def src_digest(root: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of every file under ``root/src``.
+
+    Each file adds its path, a NUL, its byte length, a NUL and its
+    bytes, so no two trees share a stream.  Files under ``__pycache__``,
+    which running the benchmark writes, are left out.
+    """
+    digest = hashlib.sha256()
+    files = (p for p in (root / "src").rglob("*") if p.is_file() and "__pycache__" not in p.parts)
+    for path in sorted(files):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def machine() -> dict:
@@ -149,6 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     command = [*spec["command"], "--seconds", str(spec["run_seconds"]), "--trace", "0"]
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    src_sha256 = {side: src_digest(roots[side]) for side in SIDES}
     runs = []
     for index, seed in enumerate(args.seeds):
         order = SIDES if index % 2 == 0 else SIDES[::-1]
@@ -165,6 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": machine(),
         "seeds": args.seeds,
         "repeats": len(args.seeds),
+        "src_sha256": src_sha256,
         "end_to_end": summarise(runs, spec["end_to_end"]),
         "operations": operations(runs),
         "runs": [

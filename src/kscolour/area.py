@@ -9,19 +9,22 @@ I_{1/2}((N-1)/2, 1/2).  Each is a prefactor times the positive-term
 series of DLMF 8.17.8, with B(1/2, (N-1)/2) = 1 / surface_ratio(N).
 
 White's series at y = 1/N is one function of y for every N,
-F(y) = sum_n prod_(k<n) (1/2 + k y)/(3/2 + k).  ``_white`` sums it as
-its Taylor polynomial in y, from a table of 41 coefficients.  N's
-octave (its bit length) fixes the degree, and one bound on the dropped
-terms holds for every octave, so a row sums no series and takes no
-logarithm to choose its degree.  Black's series is summed term by term
-by ``_black_series``.
+F(y) = sum_n prod_(k<n) (1/2 + k y)/(3/2 + k).  It is summed as its
+Taylor polynomial in y, from a table of 41 coefficients.  N's octave
+(its bit length) fixes the degree, and one bound on the dropped terms
+holds for every octave, so a row sums no series and takes no logarithm
+to choose its degree.  Black's series is summed term by term by
+``_black_series``.
 
-Every row, White and Black together, comes from ``_scan_block``:
-``total_fraction`` is its one-row block and ``iter_scan`` reads it a
-block at a time.  The terms of Black's series at N are the prefactors
-of the rows N+2, N+4, ... (the a -> a+1 recurrence of DLMF 8.17(iv)),
-so a block sums the series only for its top two dimensions and takes
-every lower row as black(N) = pre(N) + black(N+2).  Its error bound is
+Every row, White and Black together, comes from one pass of
+``_scan_block``'s loop, the only row builder: ``total_fraction`` is its
+one-row block and ``iter_scan`` reads it a block at a time.  The loop
+keeps its running values in locals and looks up White's coefficients
+once per octave, so per-row interpreter work stays small.  The terms
+of Black's series at N are the prefactors of the rows N+2, N+4, ...
+(the a -> a+1 recurrence of DLMF 8.17(iv)), so a block sums the series
+only for its top two dimensions and takes every lower row as
+black(N) = pre(N) + black(N+2).  Its error bound is
 the bound of row N+2 plus the roundings of pre(N) and of the addition.
 Every row is certified, and a row outside [0, 1] raises
 QuadratureError.  That Black is within a few eps of scipy's betaincc
@@ -34,7 +37,7 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .numerics import EPS, RANGE_TOL, QuadratureConfig, QuadratureError, certify, check_dimension, surface_ratio
+from .numerics import DEFAULT_QUADRATURE, EPS, RANGE_TOL, QuadratureConfig, QuadratureError, certify, check_dimension, surface_ratio
 
 __all__ = [
     "AreaBreakdown",
@@ -114,49 +117,26 @@ def _black_series(a: float, prefactor: float) -> tuple[float, float]:
     """I_{1/2}(a, 1/2) = prefactor * sum_n (a+1/2)_n / (a+1)_n * 2^-n, and its error bound.
 
     prefactor is 2^-(a+1/2) / (a B(a, 1/2)).  Every term is positive and
-    the term ratio (a+1/2+n) / (2 (a+1+n)) tends monotonically to 1/2,
-    so all ratios after the last one are at most rho = max(last ratio,
-    1/2) and the dropped tail is at most term * rho / (1 - rho).
-    Summing stops once a term falls below eps times the sum.  Each term
-    carries three roundings per step and each addition one, so the sum
-    errs by at most 2n eps relative after n terms.  The caller
-    certifies the pair (see ``numerics.certify``).  A prefactor that
-    has underflowed to 0 (from N = 2139 on) gives (0.0, 0.0) without
-    summing.
+    the term ratio p / (2 (p + 1/2)), p = a+1/2+n, rises monotonically
+    towards 1/2, so the dropped tail is at most the last term (a
+    geometric tail of ratio 1/2).  p is a half-integer below 2^52, so
+    ``p += 1.0`` and ``p + 0.5`` are exact.  Summing stops once a term
+    falls below eps times the sum.  Each term carries three roundings
+    per step and each addition one, so the sum errs by at most 2n eps
+    relative after n terms.  The caller certifies the pair (see
+    ``numerics.certify``).  A prefactor that has underflowed to 0 (from
+    N = 2139 on) gives (0.0, 0.0) without summing.
     """
     if prefactor == 0.0:
         return 0.0, 0.0
     total = term = 1.0
-    n = 0
+    p = start = a + 0.5
     while term > EPS * total:
-        ratio = 0.5 * (a + 0.5 + n) / (a + 1.0 + n)
-        term *= ratio
+        term *= 0.5 * p / (p + 0.5)
         total += term
-        n += 1
-    rho = max(ratio, 0.5)
-    bound = prefactor * (term * rho / (1.0 - rho) + (2 * n + _PREFACTOR_EPS) * EPS * total)
+        p += 1.0
+    bound = prefactor * (term + (2 * (p - start) + _PREFACTOR_EPS) * EPS * total)
     return prefactor * total, bound
-
-
-def _white(n_dim: int, surface: float, config: QuadratureConfig | None) -> float:
-    """White's share I_{1/N}(1/2, (N-1)/2), certified against ``config``.
-
-    The prefactor 2 sqrt(y) (1-y)^((N-1)/2) surface_ratio(N), y = 1/N,
-    times F(y) summed by Horner's rule to the degree J of N's octave.
-    The dropped terms are at most _WHITE_TAIL.  Horner's 2J roundings on
-    positive terms err by at most about J eps of F, and the table's and
-    y's roundings by under 1 eps; the bound allows (2J + 2) eps for
-    these and _PREFACTOR_EPS eps for the prefactor.
-    """
-    y = 1.0 / n_dim
-    octave = n_dim.bit_length()
-    coeffs = _WHITE_HORNER[octave - 2] if octave < len(_WHITE_HORNER) + 2 else _WHITE_HORNER[-1]
-    total = 0.0
-    for c in coeffs:
-        total = total * y + c
-    prefactor = 2.0 * math.sqrt(y) * math.exp(0.5 * (n_dim - 1) * math.log1p(-y)) * surface
-    bound = prefactor * (_WHITE_TAIL + (2 * len(coeffs) + _PREFACTOR_EPS) * EPS * total)
-    return certify(prefactor * total, bound, config)
 
 
 def total_fraction(n_dim: int, config: QuadratureConfig | None = None) -> AreaBreakdown:
@@ -172,40 +152,75 @@ def total_fraction(n_dim: int, config: QuadratureConfig | None = None) -> AreaBr
 def _scan_block(n_min: int, n_max: int, config: QuadratureConfig | None) -> list[AreaBreakdown]:
     """AreaBreakdown rows for every dimension in [n_min, n_max], one sweep.
 
-    The sweep runs from n_max down, and each row is built in one step:
-    its surface ratio, Black, White by ``_white``, certification, the
+    The sweep runs from n_max down, and each row is built in one pass
+    of the loop: its surface ratio, Black, White, certification, the
     range check (QuadratureError unless both shares are non-negative
-    and sum to at most 1 + RANGE_TOL), the record.  Black is summed by
-    the series only for n_max and n_max - 1; every lower row takes
-    black(N) = pre(N) + black(N+2), the a -> a+1 recurrence of DLMF
-    8.17(iv), pre(N) being the series prefactor 0.5^(N/2)
-    surface_ratio(N) / ((N-1)/2).  Each row's error bound is
+    and sum to at most 1 + RANGE_TOL), the record.
+
+    White is the prefactor 2 sqrt(y) (1-y)^((N-1)/2) surface_ratio(N),
+    y = 1/N, times F(y) summed by Horner's rule to the degree J of N's
+    octave, whose coefficients and slack are looked up when the sweep
+    enters the octave.  The dropped terms are at most _WHITE_TAIL.
+    Horner's 2J roundings on positive terms err by at most about J eps
+    of F, and the table's and y's roundings by under 1 eps; the bound
+    allows (2J + 2) eps for these and _PREFACTOR_EPS eps for the
+    prefactor.
+
+    Black is summed by the series only for n_max and n_max - 1; every
+    lower row takes black(N) = pre(N) + black(N+2), the a -> a+1
+    recurrence of DLMF 8.17(iv), pre(N) being the series prefactor
+    0.5^(N/2) surface_ratio(N) / ((N-1)/2).  Each row's error bound is
     bound(N+2) + _PREFACTOR_EPS eps pre(N) + eps black(N), the rounding
     of the prefactor and of the addition on top of the row above, and
     is certified like the series'.  Over N = 3..400 this Black agrees
     with scipy's betaincc to 2.4 eps and with Black's series summed at
     each row to 4.2 eps.
+
+    Each share passes when its bound meets ``certify``'s rule, tested
+    here inline; a share that fails it goes to ``certify``, which
+    raises with the message.
     """
+    abs_tol, rel_tol = config if config is not None else DEFAULT_QUADRATURE
+    exp, log1p, sqrt = math.exp, math.log1p, math.sqrt
+    # Rows skip AreaBreakdown's Python-level __new__; the fields are in order.
+    new_row = tuple.__new__
     rows = []
-    # blacks[N % 2] and bounds[N % 2] hold row N + 2's until row N replaces them.
-    blacks = [0.0, 0.0]
-    bounds = [0.0, 0.0]
+    append = rows.append
+    # Row N + 1's Black and bound, then row N + 2's.
+    black1 = bound1 = black2 = bound2 = 0.0
+    octave_floor = n_max + 1
     for n in range(n_max, n_min - 1, -1):
         surface = surface_ratio(n)
         a = 0.5 * (n - 1)
         pre = 0.5 ** (0.5 * n) * surface / a
-        k = n % 2
         if n < n_max - 1:
-            blacks[k] = pre + blacks[k]
-            bounds[k] += _PREFACTOR_EPS * EPS * pre + EPS * blacks[k]
+            black = pre + black2
+            bound = bound2 + (_PREFACTOR_EPS * EPS * pre + EPS * black)
         else:
-            blacks[k], bounds[k] = _black_series(a, pre)
-        white = _white(n, surface, config)
-        black = certify(blacks[k], bounds[k], config)
+            black, bound = _black_series(a, pre)
+        black2, bound2, black1, bound1 = black1, bound1, black, bound
+
+        if n < octave_floor:
+            octave = n.bit_length()
+            octave_floor = 1 << (octave - 1)
+            coeffs = _WHITE_HORNER[min(octave, len(_WHITE_HORNER) + 1) - 2]
+            slack = (2 * len(coeffs) + _PREFACTOR_EPS) * EPS
+        y = 1.0 / n
+        white = 0.0
+        for c in coeffs:
+            white = white * y + c
+        white_pre = 2.0 * sqrt(y) * exp(a * log1p(-y)) * surface
+        white_bound = white_pre * (_WHITE_TAIL + slack * white)
+        white *= white_pre
+
+        if not (white_bound <= abs_tol or white_bound <= rel_tol * white):
+            certify(white, white_bound, config)
+        if not (bound <= abs_tol or bound <= rel_tol * black):
+            certify(black, bound, config)
         # Two non-negative shares whose sum is in range are each in range too.
         if not (0.0 <= white and 0.0 <= black and white + black <= 1.0 + RANGE_TOL):
             raise QuadratureError(f"area shares at N = {n} out of range: white {white!r}, black {black!r}")
-        rows.append(AreaBreakdown(n, white, black))
+        append(new_row(AreaBreakdown, (n, white, black)))
     rows.reverse()
     return rows
 

@@ -83,10 +83,17 @@ def test_breakdown_validation():
         AreaBreakdown(dim=3, white_fraction=0.5, black_fraction=0.2, total_fraction=0.7)
 
 
-@pytest.mark.parametrize("bad_white", [1.5, -1e-300])
-def test_a_computed_row_out_of_range_is_a_numerical_failure(bad_white, monkeypatch, capsys):
-    white = area._white
-    monkeypatch.setattr(area, "_white", lambda n, *rest: bad_white if n == 13 else white(n, *rest))
+@pytest.mark.parametrize("target", [1.5, -1e-300])
+def test_a_computed_row_out_of_range_is_a_numerical_failure(target, monkeypatch, capsys):
+    # White's prefactor is a product with surface_ratio(N), so scaling the
+    # ratio at N = 13 by a power of two scales White there exactly.  The
+    # signed power nearest target / White(13) puts White near the target:
+    # 1.33, above 1, or -9.9e-301, just below 0.  Black scales too.
+    white = total_fraction(13).white_fraction
+    scale = math.copysign(2.0 ** round(math.log2(abs(target) / white)), target)
+    bad_white = scale * white
+    surface = area.surface_ratio
+    monkeypatch.setattr(area, "surface_ratio", lambda n: scale * surface(n) if n == 13 else surface(n))
     for compute in (lambda: total_fraction(13), lambda: scan(3, 20)):
         with pytest.raises(QuadratureError, match=f"N = 13 .*white {bad_white!r}"):
             compute()
@@ -288,6 +295,17 @@ def test_unreachable_tolerance_raises():
             fn(unreachable)
 
 
+def test_white_alone_out_of_reach_raises():
+    # From N = 2139 on Black is exactly 0 with bound 0, so only White's
+    # certification can refuse these rows; N = 5000 is each block's top row.
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
+    white = r"^error bound 2\.735e-15 exceeds tolerance max\(1\.000e-300, 1\.000e-300 \* 6\.826411e-01\)$"
+    with pytest.raises(QuadratureError, match=white):
+        total_fraction(5000, cfg)
+    with pytest.raises(QuadratureError, match=white):
+        scan(4990, 5000, cfg)
+
+
 def test_black_alone_out_of_reach_raises():
     # At N = 200 and rel 1e-14 White is certified and Black is not, so
     # these reach Black's own certification, on its series (the top row).
@@ -355,17 +373,34 @@ def test_scan_through_underflow_and_far_out(n_min, n_max):
 
 def test_black_after_its_prefactor_underflows_keeps_its_bits():
     # From N = 2139 on, Black's series prefactor is exactly 0 and so is
-    # Black.  The values and the digest of scan(2100, 2200)'s rows, each
-    # packed as struct "<qdd" (dim, white, black), were taken from the
-    # series summed in full.
+    # Black.  The values were taken from the series summed in full, like
+    # the digest of scan(2100, 2200) in test_rows_keep_their_bits.
     pins = ((2138, 0.6825762762199026, 1e-323), (2139, 0.682576329167833, 0.0), (10**4, 0.6826652932497427, 0.0))
     for n, white, black in pins:
         row = total_fraction(n)
         assert (row.white_fraction, row.black_fraction) == (white, black)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        (lambda: scan(2100, 2200), "f108511e11be0e62ffac20eccc69a54936e4e174fd732640fb8b1374e6f85e68"),
+        (lambda: scan(3, 5000), "01907e2991378f0e3bf324e5ace21f7c42b850b8a4ea6b576a5b2edda1869e06"),
+        (
+            lambda: map(total_fraction, [*range(3, 5001), 10**5, 10**7, 2**58, 2**62]),
+            "8fc2f1740b80c428cb434858f1bbb2f1d5e889f2845b43a16ab60025ec602bab",
+        ),
+    ],
+    ids=["scan_2100_2200", "scan_3_5000", "total_fraction"],
+)
+def test_rows_keep_their_bits(rows, expected):
+    # Digests of the rows, each packed as struct "<qdd" (dim, white, black),
+    # taken from earlier builds of the rows; the row loop must reproduce
+    # every bit, out to N = 2^62.
     digest = hashlib.sha256()
-    for row in scan(2100, 2200):
+    for row in rows():
         digest.update(struct.pack("<qdd", row.dim, row.white_fraction, row.black_fraction))
-    assert digest.hexdigest() == "f108511e11be0e62ffac20eccc69a54936e4e174fd732640fb8b1374e6f85e68"
+    assert digest.hexdigest() == expected
 
 
 def test_scan_unreachable_tolerance_raises_over_the_shared_tail():
@@ -475,7 +510,7 @@ def test_white_octave_degrees_bound_the_dropped_terms():
 def _white_by_series(n_dim):
     # The term-by-term route: I_x(1/2, b) = prefactor * sum_n (1/2+b)_n / (3/2)_n x^n
     # (DLMF 8.17.8) at x = 1/N, b = (N-1)/2, summed until a term drops
-    # below eps of the sum, with the prefactor _white uses.
+    # below eps of the sum, with the prefactor ``_scan_block`` uses for White.
     eps = math.ulp(1.0)
     x = 1.0 / n_dim
     b = 0.5 * (n_dim - 1)

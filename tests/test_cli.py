@@ -280,13 +280,6 @@ def test_basis_montecarlo_dim4_prints_notice():
     assert "quadrature fraction: 0.341615053774" in proc.stdout
 
 
-def test_basis_montecarlo_high_dimension_stands_alone():
-    proc = run_cli("basis", "--dim", "6", "--method", "montecarlo", "--samples", "20000", "--seed", "4")
-    assert proc.returncode == 0
-    assert "stands alone" in proc.stdout
-    assert "z-score" not in proc.stdout
-
-
 def test_verify_passes_and_reports_zero_counts():
     proc = run_cli("verify", "--dim", "3", "--samples", "60000", "--seed", "8")
     assert proc.returncode == 0

@@ -150,3 +150,29 @@ def test_operations_when_neither_side_fails():
     for side in pairs.SIDES:
         assert out[side] == {"attempted": 200, "failed": 0, "failed_share": 0.0, "all_correct": True}
     assert out["failed_share_not_higher"] is True
+
+
+def _tree(root, files):
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_src_digest_names_the_source_tree(tmp_path):
+    files = {"src/pkg/__init__.py": b"", "src/pkg/mod.py": b"x = 1\n", "README.md": b"outside src"}
+    base = pairs.src_digest(_tree(tmp_path / "a", files))
+    assert len(base) == 64
+    # The same files elsewhere, without .git, and with bytecode and files
+    # outside src/ added: the same digest.
+    same = _tree(tmp_path / "b", files | {"src/pkg/__pycache__/mod.cpython-311.pyc": b"\0", "tests/t.py": b"1"})
+    assert pairs.src_digest(same) == base
+    # One byte changed, a file renamed, or bytes moved between files: each differs.
+    others = (
+        files | {"src/pkg/mod.py": b"x = 2\n"},
+        {"src/pkg/__init__.py": b"", "src/pkg/other.py": b"x = 1\n"},
+        {"src/pkg/__init__.py": b"x", "src/pkg/mod.py": b" = 1\n"},
+    )
+    for i, other in enumerate(others):
+        assert pairs.src_digest(_tree(tmp_path / f"other{i}", other)) != base
