@@ -65,8 +65,12 @@ def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-tol", type=float, default=tol.rel_tol, help="relative tolerance the result must meet")
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    """The --seed flag, else 63 bits of fresh entropy; the run prints either."""
+def _run_seed(args: argparse.Namespace) -> int:
+    """Check the sampling run, then return --seed, else 63 bits of fresh entropy.
+
+    The run prints either; a refused run draws no entropy and loads no numpy.
+    """
+    check_run(args.dim, args.samples, 0 if args.seed is None else args.seed)
     if args.seed is not None:
         return args.seed
     import secrets
@@ -211,8 +215,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
         print(f"fully coloured basis fraction: {_fmt(result.fraction)} ({_pct(result.fraction)})")
         return EXIT_OK
 
-    seed = _resolve_seed(args)
-    check_run(args.dim, args.samples, seed)
+    seed = _run_seed(args)
     # Before sampling, so that an unreachable tolerance fails at once.
     reference = prescription(cfg) if prescription is not None else None
     # Imported here so that the quadrature commands and a refused run
@@ -244,10 +247,7 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # The dimension is checked before a seed is drawn, the run before numpy loads.
-    check_dimension(args.dim)
-    seed = _resolve_seed(args)
-    check_run(args.dim, args.samples, seed)
+    seed = _run_seed(args)
     from .montecarlo import RNG_FAMILY, verify_constraints
 
     report = verify_constraints(args.dim, args.samples, seed)

@@ -1,22 +1,24 @@
 """Monte Carlo oracle for the colouring: samples vectors and bases
 uniformly and measures the coloured fractions empirically.
 
-Sampling is organised in fixed-size chunks of 65536 draws.  Chunk j of
-a run with seed s uses its own counter-based generator keyed by
-(s, j), so the stream for a chunk depends only on the seed and the
-chunk index.  Each chunk is drawn in row slices of at most
-_SLICE_DOUBLES normals (8 MiB), and runs above dimension 2^20, whose
-one row would exceed that, are refused.  Philox yields the same
-normals whether a chunk is drawn in one call or in slices, so results
-are integer counts that do not depend on the slice size.  Each slice is
-drawn once and never re-drawn, because a row fails to divide to a unit
-vector only when every component is below about 1e-154 in size, which
-a standard normal draw is with probability below 1e-150.
+Every estimator reads one stream, and ``_row_stream`` is the one place
+that keys it, slices it and takes its norms.  Sampling is organised in
+fixed-size chunks of 65536 draws.  Chunk j of a run with seed s uses
+its own counter-based generator keyed by (s, j), so the stream for a
+chunk depends only on the seed and the chunk index.  Each chunk is
+drawn in row slices of at most _SLICE_DOUBLES normals (8 MiB), and
+runs above dimension 2^20, whose one row would exceed that, are
+refused.  Philox yields the same normals whether a chunk is drawn in
+one call or in slices, so results are integer counts that do not
+depend on the slice size.  Each slice is drawn once and never
+re-drawn, because a row fails to divide to a unit vector only when
+every component is below about 1e-154 in size, which a standard normal
+draw is with probability below 1e-150.
 
 Each row's norm is formed once, as the square root of its
 ``einsum("ij,ij->i")`` sum of squares.  A count divides only the
 absolute components it reads by that norm: the vector estimator its
-distinguished column, the basis estimators the whole row, in place.
+distinguished column, ``_colour_counts`` the whole row, in place.
 The einsum norm may differ from ``np.linalg.norm`` by a few ulp, which
 moved none of the counts the tests pin for given (dim, samples, seed),
 so a change to the stream or to this arithmetic shows as a failure.
@@ -25,9 +27,10 @@ A basis is fully coloured, or breaks a constraint, according to the
 distinguished components of its vectors, which form one row of its
 matrix.  A row of a Haar-random orthogonal matrix is a uniform unit
 vector (the transpose of a Haar matrix is Haar), so the basis
-estimators sample that row directly.  Each row's White count and Black
-count are the mat-vec products of its masks with a vector of ones:
-float sums, exact for any row length allowed.  A row is fully coloured
+estimators sample that row directly, and ``_colour_counts`` is the one
+place that colours it.  Each row's White count and Black count are the
+mat-vec products of its masks with a vector of ones: float sums, exact
+for any row length allowed.  A row is fully coloured
 when the two counts add up to the dimension.  That holds only because
 the masks are disjoint, which needs the belt bound below the cap bound:
 1/sqrt(N) < 1/sqrt(2) for every N >= 3.  Whole bases, for callers that
@@ -102,46 +105,41 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _slices(dim: int, samples: int) -> Iterator[tuple[int, list[int]]]:
-    """(chunk index, rows of each draw from that chunk's stream) per chunk."""
-    step = max(1, _SLICE_DOUBLES // dim)
-    for index, start in enumerate(range(0, samples, CHUNK_SAMPLES)):
-        count = min(CHUNK_SAMPLES, samples - start)
-        yield index, [min(step, count - offset) for offset in range(0, count, step)]
-
-
 def _row_stream(dim: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The run's Gaussian rows and their norms, one slice at a time.
 
-    A row divided by its norm is a uniformly distributed unit vector.
-    Each slice is drawn once and never re-drawn: no component exceeds
-    its row's norm, and the norm is exact to rounding unless every
-    component is below about 1e-154 in size.
+    Chunk j, the run's rows from j * CHUNK_SAMPLES on, is drawn in
+    order from ``_chunk_rng(seed, j)``, in slices of at most
+    _SLICE_DOUBLES normals but at least one row.  A row divided by its
+    norm is a uniformly distributed unit vector.  Each slice is drawn
+    once and never re-drawn: no component exceeds its row's norm, and
+    the norm is exact to rounding unless every component is below about
+    1e-154 in size.
     """
-    for index, sizes in _slices(dim, samples):
+    step = max(1, _SLICE_DOUBLES // dim)
+    for index, start in enumerate(range(0, samples, CHUNK_SAMPLES)):
         rng = _chunk_rng(seed, index)
-        for count in sizes:
-            rows = rng.standard_normal((count, dim))
+        count = min(CHUNK_SAMPLES, samples - start)
+        for offset in range(0, count, step):
+            rows = rng.standard_normal((min(step, count - offset), dim))
             yield rows, np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
-def _abs_unit_rows(dim: int, samples: int, seed: int) -> Iterator[np.ndarray]:
-    """Absolute components of the run's uniform unit rows, one slice at a time."""
+def _colour_counts(dim: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each sampled row's White count and Black count, as floats, one slice at a time.
+
+    The row's absolute components are divided by its norm in place and
+    coloured under the default bounds for ``dim``.  The masks are
+    disjoint (white_bound < black_bound), so the counts add up to
+    ``dim`` exactly when every component is coloured.
+    """
+    params = ColouringParams(dim=dim)
+    ones = np.ones(dim)
     for rows, norms in _row_stream(dim, samples, seed):
         np.abs(rows, out=rows)
         rows /= norms[:, None]
-        yield rows
-
-
-def _colour_counts(t: np.ndarray, params: ColouringParams) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's White count and Black count, as floats.
-
-    The masks are disjoint (white_bound < black_bound), so the counts
-    add up to the row length exactly when every component is coloured.
-    """
-    white, black = colour_masks(t, params)
-    ones = np.ones(t.shape[1])
-    return white @ ones, black @ ones
+        white, black = colour_masks(rows, params)
+        yield white @ ones, black @ ones
 
 
 def sample_basis(dim: int, rng: np.random.Generator) -> OrthonormalBasis:
@@ -203,10 +201,8 @@ def estimate_basis_fraction(dim: int, samples: int, seed: int) -> Estimate:
     streams as estimate_vector_fractions.
     """
     check_run(dim, samples, seed)
-    params = ColouringParams(dim=dim)
     hits = 0
-    for t in _abs_unit_rows(dim, samples, seed):
-        whites, blacks = _colour_counts(t, params)
+    for whites, blacks in _colour_counts(dim, samples, seed):
         hits += int(np.count_nonzero(whites + blacks == dim))
     return Estimate(hits / samples, samples, seed)
 
@@ -221,12 +217,10 @@ def verify_constraints(dim: int, samples: int, seed: int) -> ViolationReport:
     geometry, not the sampler.
     """
     check_run(dim, samples, seed)
-    params = ColouringParams(dim=dim)
     pairs = 0
     all_white = 0
     bad_full = 0
-    for t in _abs_unit_rows(dim, samples, seed):
-        whites, blacks = _colour_counts(t, params)
+    for whites, blacks in _colour_counts(dim, samples, seed):
         pairs += int(np.count_nonzero(blacks >= 2))
         all_white += int(np.count_nonzero(whites == dim))
         bad_full += int(np.count_nonzero((whites + blacks == dim) & (blacks != 1)))

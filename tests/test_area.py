@@ -403,6 +403,24 @@ def test_rows_keep_their_bits(rows, expected):
     assert digest.hexdigest() == expected
 
 
+def test_every_certified_bound_keeps_its_bits(monkeypatch):
+    # Under tolerances no share meets, every non-zero share of scan(3, 5000)
+    # goes to certify, here a recorder that passes it.  The digest of the
+    # (value, bound) pairs, each packed as struct "<dd" and taken from an
+    # earlier build of the rows, pins every error bound, which no row shows.
+    pairs = []
+
+    def record(value, bound, config):
+        pairs.append((value, bound))
+        return value
+
+    monkeypatch.setattr(area, "certify", record)
+    scan(3, 5000, QuadratureConfig(1e-300, 1e-300))
+    assert len(pairs) == 6882
+    digest = hashlib.sha256(b"".join(struct.pack("<dd", *pair) for pair in pairs))
+    assert digest.hexdigest() == "47cbfb7d2fc8d260c166231a9e84bbfbbbcf94862ea1beaae68d1baef73e0433"
+
+
 def test_scan_unreachable_tolerance_raises_over_the_shared_tail():
     with pytest.raises(QuadratureError):
         scan(3, 200, QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -164,12 +165,41 @@ def test_basis_fraction_matches_quadrature_3d():
     assert abs(e.value - basis_fraction_3d().fraction) < 4.0 * e.std_error
 
 
+def _draw_sizes(dim: int, samples: int) -> list[tuple[int, list[int]]]:
+    """(chunk index, rows of each draw from that chunk's stream) per chunk of a run.
+
+    ``_chunk_rng`` is stood in for by a recorder whose draws are one
+    column of zeros, so no draw the run asks for is allocated.
+    """
+    keys, shapes = [], []
+
+    class Recorder:
+        def __init__(self, seed, index):
+            keys.append((seed, index))
+            self.index = index
+
+        def standard_normal(self, shape):
+            shapes.append((self.index, shape))
+            return np.zeros((shape[0], 1))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_chunk_rng", Recorder)
+        for _ in montecarlo._row_stream(dim, samples, 5):
+            pass
+    assert all(cols == dim for _, (_, cols) in shapes)
+    grouped = itertools.groupby(shapes, lambda draw: draw[0])
+    chunks = [(index, [rows for _, (rows, _) in draws]) for index, draws in grouped]
+    # One generator per chunk, keyed by (seed, chunk index) in order.
+    assert keys == [(5, index) for index, _ in chunks]
+    return chunks
+
+
 def test_slices_respect_the_draw_budget():
     # Shapes only: at dimension 1e6 a whole chunk would be 65536 x 1e6
     # doubles, so nothing here may be allocated.
-    assert list(montecarlo._slices(16, CHUNK_SAMPLES)) == [(0, [CHUNK_SAMPLES])]
+    assert _draw_sizes(16, CHUNK_SAMPLES) == [(0, [CHUNK_SAMPLES])]
     for dim, samples in ((1000, 2 * CHUNK_SAMPLES + 7), (10**6, CHUNK_SAMPLES + 3)):
-        chunks = list(montecarlo._slices(dim, samples))
+        chunks = _draw_sizes(dim, samples)
         assert [index for index, _ in chunks] == list(range(len(chunks)))
         assert [sum(sizes) for _, sizes in chunks] == [CHUNK_SAMPLES] * (len(chunks) - 1) + [
             samples % CHUNK_SAMPLES
@@ -180,7 +210,7 @@ def test_slices_respect_the_draw_budget():
 def test_dimension_limit_is_one_row_per_draw():
     # At 2^20 one row fills a draw; one dimension more is refused by
     # every run before it draws.
-    assert list(montecarlo._slices(2**20, 3)) == [(0, [1, 1, 1])]
+    assert _draw_sizes(2**20, 3) == [(0, [1, 1, 1])]
     assert axis_component_samples(2**20, 1, seed=3).shape == (1,)
     for run in (axis_component_samples, estimate_vector_fractions, estimate_basis_fraction, verify_constraints):
         with pytest.raises(ValueError, match="at most 1048576"):
@@ -310,8 +340,8 @@ def test_verify_constraints_counts_violations(monkeypatch, dim, white_bound, bla
     # count kept in a type that wraps at 255 would be caught.
     monkeypatch.setattr(montecarlo, "ColouringParams", lambda dim: bounds_stand_in(dim, white_bound, black_bound))
     pairs = all_white = bad_full = hits = 0
-    for t in montecarlo._abs_unit_rows(dim, 2000, 7):
-        for row in t.tolist():
+    for rows, norms in montecarlo._row_stream(dim, 2000, 7):
+        for row in (np.abs(rows) / norms[:, None]).tolist():
             blacks = sum(x > black_bound for x in row)
             whites = sum(x < white_bound for x in row)
             pairs += blacks >= 2
@@ -365,5 +395,6 @@ def test_pinned_counts(monkeypatch, slice_doubles):
 def test_counted_rows_have_unit_norm():
     # The rows the basis counts read: |components| over the einsum norm.
     for dim in range(3, 65):
-        for rows in montecarlo._abs_unit_rows(dim, 2000, seed=dim):
-            assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-15
+        for rows, norms in montecarlo._row_stream(dim, 2000, seed=dim):
+            t = np.abs(rows) / norms[:, None]
+            assert np.abs(np.linalg.norm(t, axis=1) - 1.0).max() <= 1e-15
