@@ -11,7 +11,9 @@ with ``--workload W --seed S --seconds T --trace 0``, T being that
 file's ``run_seconds``, once in each checkout, one after the other.
 Which side goes first alternates from pair to pair, so a slow phase of
 the host does not always fall on the same side.  It reads the JSON result line that each
-run prints last and writes ``BENCH_<label>.json`` holding:
+run prints last, and the ``metric NAME = VALUE UNIT`` lines of the
+DIAGNOSTICS that it prints before it, and writes ``BENCH_<label>.json``
+holding:
 
 - per end-to-end metric of the change's ``BENCHMARK.json``: each side's
   median and quartiles, the number of pairs the change wins, whether
@@ -26,8 +28,13 @@ run prints last and writes ``BENCH_<label>.json`` holding:
   runs, ``failed_share`` (failed over attempted) and ``all_correct``
   (every run's checks passed), and ``failed_share_not_higher``,
   whether the change's failed share is at most the parent's;
-- per run: seed, side, order, ``correct``, ``attempted``, ``failed``
-  and every metric;
+- per run: seed, side, order, ``correct``, ``attempted``, ``failed``,
+  every metric and its ``diagnostics``;
+- ``diagnostics``: per side, the median of each diagnostic over the
+  runs that print it.  These explain a metric and gate nothing: a
+  change in ``host_speed_factor`` moves the scaled times of the
+  workloads that calibrate, and the ``cpu.*`` figures are the same
+  times undivided;
 - the machine, the Python and numpy versions, the seeds and the
   number of repeats;
 - ``src_sha256``, per side a SHA-256 over the sorted paths and bytes
@@ -49,6 +56,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+DIAGNOSTICS = ("host_speed_factor", "cpu.ops_per_s", "cpu.latency_p50_ms", "cpu.latency_p90_ms")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -62,14 +70,24 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def parse_run(stdout: str) -> dict:
+    """A run's final JSON result line, with the DIAGNOSTICS it prints as ``diagnostics``."""
+    *lines, last = stdout.strip().splitlines()
+    diagnostics = {}
+    for line in lines:
+        fields = line.split()
+        if len(fields) == 5 and fields[0] == "metric" and fields[1] in DIAGNOSTICS and fields[2] == "=":
+            diagnostics[fields[1]] = float(fields[3])
+    return {**json.loads(last), "diagnostics": diagnostics}
+
+
 def run_once(root: Path, command: list[str], workload: str, seed: int) -> dict:
-    """One benchmark run of ``command`` in ``root``; its final JSON result line."""
+    """One benchmark run of ``command`` in ``root``, parsed by ``parse_run``."""
     cmd = [*command, "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or not proc.stdout.strip():
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return parse_run(proc.stdout)
 
 
 def src_digest(root: Path) -> str:
@@ -154,6 +172,19 @@ def operations(runs: list[dict]) -> dict:
     return out
 
 
+def diagnostics(runs: list[dict]) -> dict:
+    """Per side, the median of each diagnostic over the runs that print it."""
+    out = {}
+    for side in SIDES:
+        values: dict[str, list[float]] = {}
+        for r in runs:
+            if r["side"] == side:
+                for name, value in r["diagnostics"].items():
+                    values.setdefault(name, []).append(value)
+        out[side] = {name: statistics.median(v) for name, v in values.items()}
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -189,8 +220,9 @@ def main(argv: list[str] | None = None) -> int:
         "src_sha256": src_sha256,
         "end_to_end": summarise(runs, spec["end_to_end"]),
         "operations": operations(runs),
+        "diagnostics": diagnostics(runs),
         "runs": [
-            {k: r[k] for k in ("seed", "side", "first", "correct", "attempted", "failed")}
+            {k: r[k] for k in ("seed", "side", "first", "correct", "attempted", "failed", "diagnostics")}
             | {"metrics": {k: v["value"] for k, v in r["metrics"].items()}}
             for r in runs
         ],

@@ -6,14 +6,15 @@ that keys it, slices it and takes its norms.  Sampling is organised in
 fixed-size chunks of 65536 draws.  Chunk j of a run with seed s uses
 its own counter-based generator keyed by (s, j), so the stream for a
 chunk depends only on the seed and the chunk index.  Each chunk is
-drawn in row slices of at most _SLICE_DOUBLES normals (8 MiB), and
-runs above dimension 2^20, whose one row would exceed that, are
-refused.  Philox yields the same normals whether a chunk is drawn in
-one call or in slices, so results are integer counts that do not
-depend on the slice size.  Each slice is drawn once and never
-re-drawn, because a row fails to divide to a unit vector only when
-every component is below about 1e-154 in size, which a standard normal
-draw is with probability below 1e-150.
+drawn in row slices of at most _SLICE_DOUBLES normals (64 KiB), or of
+one row where a row is longer.  ``numerics.MAX_SAMPLED_DIM`` caps a
+row at 2^20 normals (8 MiB), and longer runs are refused.  Philox
+yields the same normals whether a chunk is drawn in one call or in
+slices, so results are integer counts that do not depend on the slice
+size.  Each slice is drawn once and never re-drawn, because a row
+fails to divide to a unit vector only when every component is below
+about 1e-154 in size, which a standard normal draw is with probability
+below 1e-150.
 
 Each row's norm is formed once, as the square root of its
 ``einsum("ij,ij->i")`` sum of squares.  A count divides only the
@@ -39,12 +40,15 @@ the signs of R's diagonal moved into Q (Mezzadri, Notices AMS 54,
 2007), which makes Q Haar-distributed.
 
 Those mat-vecs are the only BLAS calls, and one thread is enough for
-them.  ``cli.run()`` holds OpenBLAS to one thread, but a caller that
-imports this module runs it at its default thread count, whose idle
-workers busy-wait on the caller's CPU: counting the colours of one
-(5000, 200) slice took 2.5 ms of process CPU on one thread and 5.0 ms
-on two, in the same wall time (2-vCPU Xeon VM).  Such callers should
-set ``OPENBLAS_NUM_THREADS=1`` in the environment before numpy loads.
+them.  ``cli.run()`` holds OpenBLAS to one thread.  A caller that
+imports this module runs it at its default thread count, but a 64 KiB
+slice keeps each mat-vec too small to wake the sleeping workers, which
+would busy-wait on the caller's CPU.  At dimensions 200, 5000 and 9000
+``verify_constraints`` took CPU time equal to its wall time on two
+threads; with 8 MiB slices it took twice its wall time (median of 15
+calls after a first one, 2-vCPU Xeon VM).  A row of 20000 components,
+drawn one row per slice, still wakes them, so callers that sample such
+rows should set ``OPENBLAS_NUM_THREADS=1`` before numpy loads.
 """
 
 import math
@@ -53,7 +57,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .colouring import ColouringParams, OrthonormalBasis, colour_masks
-from .numerics import MAX_SAMPLED_DIM, check_dimension, check_run
+from .numerics import check_dimension, check_run
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -69,10 +73,14 @@ __all__ = [
 CHUNK_SAMPLES = 1 << 16
 RNG_FAMILY = "philox4x64"
 
-# Most normals one draw asks for (8 MiB of doubles).  A full chunk fits
-# up to dimension 16; beyond that a chunk is drawn in several slices,
-# down to one row per slice at MAX_SAMPLED_DIM.
-_SLICE_DOUBLES = MAX_SAMPLED_DIM
+# Most normals one slice holds, unless one row is longer: 64 KiB of
+# doubles, 512 rows of R^16 or 2730 of R^3.  A slice this size fits in
+# cache, and its arrays stay under glibc's 128 KiB mmap threshold, so
+# they are reused from the heap instead of mapped and faulted in afresh:
+# over 24 requests of perfbench's sampled mix (2-vCPU Xeon VM), 2^13
+# took 7 minor faults and 2^15 to 2^17 took 7k-11k.  Its mat-vecs stay
+# on one BLAS thread.  2^12 and 2^14 were slower in the median of 5.
+_SLICE_DOUBLES = 1 << 13
 
 
 class Estimate(NamedTuple):

@@ -94,8 +94,8 @@ def check_dimension(n_dim: int, least: int = 3) -> None:
         raise ValueError(f"dimension must be at most {sys.float_info.max!r}, the largest float")
 
 
-# A Monte Carlo draw holds at most MAX_SAMPLED_DIM normals, so a run above
-# that dimension, whose one row would exceed it, is refused.  The run
+# One Monte Carlo row holds at most MAX_SAMPLED_DIM normals (8 MiB), so a
+# run above that dimension is refused and no draw exceeds it.  The run
 # checks live here, without numpy, so that the CLI refuses a bad run
 # before it loads the sampling layer.
 MAX_SAMPLED_DIM = 1 << 20

@@ -170,14 +170,15 @@ def test_criterion_09_vector_fractions_montecarlo():
 
 def test_criterion_10_determinism_and_sharding(monkeypatch):
     # Each chunk is drawn in slices of at most montecarlo._SLICE_DOUBLES
-    # normals; the budgets below cut the chunks into slices of 2730,
-    # 333 and 40 rows of R^3 (1638, 199 and 24 of R^5).
+    # normals: by default 8192, slices of 2730 rows of R^3 (1638 of R^5).
+    # The budgets below draw the chunks whole (2^20) or cut them into
+    # slices of 333 and 40 rows of R^3 (199 and 24 of R^5).
     e1 = estimate_basis_fraction(3, 300_000, SEED_DETERMINISM)
     e2 = estimate_basis_fraction(3, 300_000, SEED_DETERMINISM)
     vec_ref = [e.value for e in estimate_vector_fractions(5, 200_000, SEED_DETERMINISM + 1)]
     slice_vals = []
     vec_ok = True
-    for budget in (8192, 999, 120):
+    for budget in (1 << 20, 999, 120):
         monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", budget)
         slice_vals.append(estimate_basis_fraction(3, 300_000, SEED_DETERMINISM).value)
         vec_ok &= [e.value for e in estimate_vector_fractions(5, 200_000, SEED_DETERMINISM + 1)] == vec_ref
@@ -193,6 +194,6 @@ def test_criterion_10_determinism_and_sharding(monkeypatch):
     _report(
         10,
         ok,
-        "repeat runs and slice budgets (2^20, 8192, 999, 120 doubles per draw) are bit-identical: "
+        "repeat runs at the default budget and at 2^20, 999 and 120 doubles per draw are bit-identical: "
         f"{ok}",
     )

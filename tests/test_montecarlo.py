@@ -196,15 +196,17 @@ def _draw_sizes(dim: int, samples: int) -> list[tuple[int, list[int]]]:
 
 def test_slices_respect_the_draw_budget():
     # Shapes only: at dimension 1e6 a whole chunk would be 65536 x 1e6
-    # doubles, so nothing here may be allocated.
-    assert _draw_sizes(16, CHUNK_SAMPLES) == [(0, [CHUNK_SAMPLES])]
+    # doubles, so nothing here may be allocated.  A slice holds 2^13
+    # normals, 512 rows of R^16, or one row where a row is longer.
+    assert montecarlo._SLICE_DOUBLES == 1 << 13
+    assert _draw_sizes(16, CHUNK_SAMPLES) == [(0, [512] * (CHUNK_SAMPLES // 512))]
     for dim, samples in ((1000, 2 * CHUNK_SAMPLES + 7), (10**6, CHUNK_SAMPLES + 3)):
         chunks = _draw_sizes(dim, samples)
         assert [index for index, _ in chunks] == list(range(len(chunks)))
         assert [sum(sizes) for _, sizes in chunks] == [CHUNK_SAMPLES] * (len(chunks) - 1) + [
             samples % CHUNK_SAMPLES
         ]
-        assert max(max(sizes) for _, sizes in chunks) * dim <= montecarlo._SLICE_DOUBLES
+        assert max(max(sizes) for _, sizes in chunks) * dim <= max(montecarlo._SLICE_DOUBLES, dim)
 
 
 def test_dimension_limit_is_one_row_per_draw():
@@ -218,16 +220,25 @@ def test_dimension_limit_is_one_row_per_draw():
 
 
 def test_draw_memory_stays_within_a_few_slices():
-    # A slice is at most 8 MiB of normals, and a draw holds a few arrays
-    # of that size (about 26 MiB in all).  Unsliced, the chunk of 20000
-    # rows in R^500 takes 80 MB per array and peaks near 170 MiB.
-    tracemalloc.start()
-    try:
-        estimate_basis_fraction(500, 20_000, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 8 * montecarlo._SLICE_DOUBLES
+    # A slice is at most 64 KiB of normals (16 rows of R^500), and each
+    # call peaks at 150-250 KiB of traced memory.  The bound is fixed,
+    # not a multiple of _SLICE_DOUBLES: 8 MiB slices, as a 2^20 budget
+    # draws, peak at 3-18 MiB and fail, and an unsliced chunk of 20000
+    # rows in R^500 takes 80 MB per array.
+    for run, dim, samples in (
+        (estimate_vector_fractions, 16, 81920),
+        (estimate_vector_fractions, 3, 393216),
+        (verify_constraints, 3, 65536),
+        (estimate_basis_fraction, 4, 32768),
+        (estimate_basis_fraction, 500, 20_000),
+    ):
+        tracemalloc.start()
+        try:
+            run(dim, samples, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, (run.__name__, dim, samples, peak)
 
 
 def _runs():
@@ -244,16 +255,18 @@ def test_estimates_are_deterministic_and_shard_invariant(monkeypatch):
     ref = _runs()
     assert _runs() == ref
     assert estimate_basis_fraction(3, CHUNK_SAMPLES + 17, seed=43).value != ref[0].value
-    # 4099 doubles cut every chunk into ragged slices.
-    monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", 4099)
-    assert _runs() == ref
+    # 2^20 doubles draw every chunk here whole; 4099 cut it into ragged slices.
+    for budget in (1 << 20, 4099):
+        monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", budget)
+        assert _runs() == ref
 
 
 def test_vector_estimates_shard_invariant(monkeypatch):
     ref = estimate_vector_fractions(5, 2 * CHUNK_SAMPLES + 5, seed=13)
     ref_row_by_row = estimate_vector_fractions(7, 300, seed=14)
-    monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", 4099)
-    assert estimate_vector_fractions(5, 2 * CHUNK_SAMPLES + 5, seed=13) == ref
+    for budget in (1 << 20, 4099):
+        monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", budget)
+        assert estimate_vector_fractions(5, 2 * CHUNK_SAMPLES + 5, seed=13) == ref
     # 5 doubles is less than one row at dimension 7: one row per draw.
     monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", 5)
     assert estimate_vector_fractions(7, 300, seed=14) == ref_row_by_row
@@ -261,8 +274,13 @@ def test_vector_estimates_shard_invariant(monkeypatch):
 
 @pytest.mark.parametrize(
     "dim, samples, slice_doubles",
-    [(3, 2 * CHUNK_SAMPLES + 123, None), (3, 2 * CHUNK_SAMPLES + 123, 4099), (7, 300, 5)],
-    ids=["whole_chunks", "ragged_slices", "one_row_per_draw"],
+    [
+        (3, 2 * CHUNK_SAMPLES + 123, None),
+        (3, 2 * CHUNK_SAMPLES + 123, 1 << 20),
+        (3, 2 * CHUNK_SAMPLES + 123, 4099),
+        (7, 300, 5),
+    ],
+    ids=["default_slices", "whole_chunks", "ragged_slices", "one_row_per_draw"],
 )
 def test_row_stream_is_one_philox_draw_per_chunk(monkeypatch, dim, samples, slice_doubles):
     # The stream every estimator reads: chunk j's rows are one
@@ -378,7 +396,9 @@ _PINNED_BASES = {  # (dim, samples, seed): fully coloured bases
 }
 
 
-@pytest.mark.parametrize("slice_doubles", [None, 4099], ids=["whole_chunks", "ragged_slices"])
+@pytest.mark.parametrize(
+    "slice_doubles", [None, 1 << 20, 4099], ids=["default_slices", "whole_chunks", "ragged_slices"]
+)
 def test_pinned_counts(monkeypatch, slice_doubles):
     if slice_doubles is not None:
         monkeypatch.setattr(montecarlo, "_SLICE_DOUBLES", slice_doubles)

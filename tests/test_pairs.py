@@ -176,3 +176,46 @@ def test_src_digest_names_the_source_tree(tmp_path):
     )
     for i, other in enumerate(others):
         assert pairs.src_digest(_tree(tmp_path / f"other{i}", other)) != base
+
+
+_STDOUT = """workload: sampled
+metric ops_per_s = 88.9 1/s
+metric host_speed_factor = 0.8123 ratio
+metric cpu.ops_per_s = 108.5 1/s
+metric cpu.latency_p50_ms = 5.25 ms
+metric cpu.latency_p90_ms = 31.0 ms
+metric wall.ops_per_s = 101.0 1/s
+note: metric host_speed_factor = 9.9 ratio
+checks: ok=400; failed=0
+{"correct": true, "attempted": 400, "failed": 0, "metrics": {"ops_per_s": {"value": 88.9, "unit": "1/s"}}}
+"""
+
+
+def test_parse_run_keeps_the_result_and_the_diagnostics():
+    run = pairs.parse_run(_STDOUT)
+    assert (run["correct"], run["attempted"], run["failed"]) == (True, 400, 0)
+    assert run["metrics"] == {"ops_per_s": {"value": 88.9, "unit": "1/s"}}
+    # Only the four diagnostics, and only from lines that are metric lines.
+    assert run["diagnostics"] == {
+        "host_speed_factor": 0.8123,
+        "cpu.ops_per_s": 108.5,
+        "cpu.latency_p50_ms": 5.25,
+        "cpu.latency_p90_ms": 31.0,
+    }
+    # A workload without a calibration kernel prints none of them.
+    bare = pairs.parse_run("metric ops_per_s = 10.0 1/s\n" + _STDOUT.splitlines()[-1])
+    assert bare["diagnostics"] == {}
+
+
+def test_diagnostics_are_per_side_medians():
+    runs = []
+    for side, factors in (("parent", [0.68, 0.74, 0.70]), ("change", [0.80, 0.84, 0.82])):
+        for i, factor in enumerate(factors):
+            diag = {"host_speed_factor": factor}
+            if i:  # a diagnostic missing from a run is left out of its median
+                diag["cpu.ops_per_s"] = 100.0 + 10 * i
+            runs.append({"side": side, "diagnostics": diag})
+    out = pairs.diagnostics(runs)
+    assert out["parent"] == {"host_speed_factor": 0.70, "cpu.ops_per_s": 115.0}
+    assert out["change"] == {"host_speed_factor": 0.82, "cpu.ops_per_s": 115.0}
+    assert pairs.diagnostics([]) == {"parent": {}, "change": {}}
