@@ -39,7 +39,11 @@ holding:
   number of repeats;
 - ``src_sha256``, per side a SHA-256 over the sorted paths and bytes
   of the files under its ``src/`` (``__pycache__`` left out), so the
-  record names the code it measured, with or without ``.git``.
+  record names the code it measured, with or without ``.git``;
+- ``bench_sha256``, per side the same digest over ``BENCHMARK.json``
+  and the files under its ``paths``.  The two must be equal: when the
+  sides' benchmark code differs, the script exits with an error before
+  any run.
 
 Only the standard library is used.
 """
@@ -90,20 +94,30 @@ def run_once(root: Path, command: list[str], workload: str, seed: int) -> dict:
     return parse_run(proc.stdout)
 
 
-def src_digest(root: Path) -> str:
-    """SHA-256 over the sorted relative paths and bytes of every file under ``root/src``.
+def tree_digest(root: Path, names: list[str]) -> str:
+    """SHA-256 over the sorted relative paths and bytes of the files ``names`` give under ``root``.
 
+    Each name is a file or a directory, taken with every file under it.
     Each file adds its path, a NUL, its byte length, a NUL and its
     bytes, so no two trees share a stream.  Files under ``__pycache__``,
     which running the benchmark writes, are left out.
     """
     digest = hashlib.sha256()
-    files = (p for p in (root / "src").rglob("*") if p.is_file() and "__pycache__" not in p.parts)
+    files = set()
+    for name in names:
+        top = root / name
+        files.update(p for p in (top, *top.rglob("*")) if p.is_file() and "__pycache__" not in p.parts)
     for path in sorted(files):
         data = path.read_bytes()
         digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
+
+
+def bench_digest(root: Path) -> str:
+    """``tree_digest`` over ``root``'s BENCHMARK.json and the ``paths`` it lists."""
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return tree_digest(root, ["BENCHMARK.json", *spec["paths"]])
 
 
 def machine() -> dict:
@@ -200,7 +214,10 @@ def main(argv: list[str] | None = None) -> int:
     command = [*spec["command"], "--seconds", str(spec["run_seconds"]), "--trace", "0"]
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    src_sha256 = {side: src_digest(roots[side]) for side in SIDES}
+    bench_sha256 = {side: bench_digest(roots[side]) for side in SIDES}
+    if bench_sha256["parent"] != bench_sha256["change"]:
+        parser.error(f"the two sides run different benchmark code: {bench_sha256}")
+    src_sha256 = {side: tree_digest(roots[side], ["src"]) for side in SIDES}
     runs = []
     for index, seed in enumerate(args.seeds):
         order = SIDES if index % 2 == 0 else SIDES[::-1]
@@ -218,6 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": args.seeds,
         "repeats": len(args.seeds),
         "src_sha256": src_sha256,
+        "bench_sha256": bench_sha256,
         "end_to_end": summarise(runs, spec["end_to_end"]),
         "operations": operations(runs),
         "diagnostics": diagnostics(runs),

@@ -14,7 +14,12 @@ Taylor polynomial in y, from a table of 41 coefficients.  N's octave
 (its bit length) fixes the degree, and one bound on the dropped terms
 holds for every octave, so a row sums no series and takes no logarithm
 to choose its degree.  Black's series is summed term by term by
-``_black_series``.
+``_black_series``, and each dimension's sum is kept for the life of
+the process.  That stays bounded: the prefactor is exactly 0 from
+N = 2139 on and then nothing is summed, so at most the 2136 sums of
+N = 3..2138 are kept (285 KiB, measured with tracemalloc).  The
+tolerance enters only when a share is certified, so one kept sum
+serves every QuadratureConfig.
 
 Every row, White and Black together, comes from one pass of
 ``_scan_block``'s loop, the only row builder: ``total_fraction`` is its
@@ -32,6 +37,7 @@ QuadratureError.  That Black is within a few eps of scipy's betaincc
 dimensions at a time, so its memory stays bounded for any range.
 """
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -123,20 +129,32 @@ def _black_series(a: float, prefactor: float) -> tuple[float, float]:
     ``p += 1.0`` and ``p + 0.5`` are exact.  Summing stops once a term
     falls below eps times the sum.  Each term carries three roundings
     per step and each addition one, so the sum errs by at most 2n eps
-    relative after n terms.  The caller certifies the pair (see
-    ``numerics.certify``).  A prefactor that has underflowed to 0 (from
-    N = 2139 on) gives (0.0, 0.0) without summing.
+    relative after n terms.
+
+    The sum depends on N alone, so ``_black_sum`` keeps each
+    dimension's for the life of the process and only the prefactor is
+    applied here.  The tolerance enters only when the caller certifies
+    the pair (see ``numerics.certify``), so one kept sum serves every
+    QuadratureConfig.  A prefactor that has underflowed to 0 (from
+    N = 2139 on) gives (0.0, 0.0) without summing, so at most the 2136
+    sums of N = 3..2138 are ever kept.
     """
     if prefactor == 0.0:
         return 0.0, 0.0
+    total, term, steps = _black_sum(a)
+    return prefactor * total, prefactor * (term + (2 * steps + _PREFACTOR_EPS) * EPS * total)
+
+
+@functools.cache
+def _black_sum(a: float) -> tuple[float, float, float]:
+    """``_black_series``'s sum at a: (sum, its last term, the number of terms after the first)."""
     total = term = 1.0
     p = start = a + 0.5
     while term > EPS * total:
         term *= 0.5 * p / (p + 0.5)
         total += term
         p += 1.0
-    bound = prefactor * (term + (2 * (p - start) + _PREFACTOR_EPS) * EPS * total)
-    return prefactor * total, bound
+    return total, term, p - start
 
 
 def total_fraction(n_dim: int, config: QuadratureConfig | None = None) -> AreaBreakdown:

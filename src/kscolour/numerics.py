@@ -132,7 +132,9 @@ def surface_ratio(n_dim: int) -> float:
     error is 1.5 eps below n = 50 and 2.2 eps above (at n = 51).  Grows
     like sqrt(n / (2*pi)).
     """
-    check_dimension(n_dim, least=2)
+    # A plain int in range, as every row of a scan is, skips the full check.
+    if type(n_dim) is not int or not 2 <= n_dim <= MAX_DIM:
+        check_dimension(n_dim, least=2)
     if n_dim < 50:
         return math.gamma(0.5 * n_dim) / (math.gamma(0.5 * (n_dim - 1)) * math.sqrt(math.pi))
     x = 0.5 * (n_dim - 1)

@@ -89,6 +89,8 @@ def test_a_computed_row_out_of_range_is_a_numerical_failure(target, monkeypatch,
     # ratio at N = 13 by a power of two scales White there exactly.  The
     # signed power nearest target / White(13) puts White near the target:
     # 1.33, above 1, or -9.9e-301, just below 0.  Black scales too.
+    # This call keeps Black's series sum at N = 13, so the rows below run
+    # with it kept and still fail: the kept sum hides no patched prefactor.
     white = total_fraction(13).white_fraction
     scale = math.copysign(2.0 ** round(math.log2(abs(target) / white)), target)
     bad_white = scale * white
@@ -381,26 +383,55 @@ def test_black_after_its_prefactor_underflows_keeps_its_bits():
         assert (row.white_fraction, row.black_fraction) == (white, black)
 
 
+def _rows_digest(rows) -> str:
+    """SHA-256 of the rows, each packed as struct "<qdd" (dim, white, black)."""
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(struct.pack("<qdd", row.dim, row.white_fraction, row.black_fraction))
+    return digest.hexdigest()
+
+
+_TOTAL_FRACTION_DIMS = (*range(3, 5001), 10**5, 10**7, 2**58, 2**62)
+_TOTAL_FRACTION_DIGEST = "8fc2f1740b80c428cb434858f1bbb2f1d5e889f2845b43a16ab60025ec602bab"
+
+
 @pytest.mark.parametrize(
     "rows, expected",
     [
         (lambda: scan(2100, 2200), "f108511e11be0e62ffac20eccc69a54936e4e174fd732640fb8b1374e6f85e68"),
         (lambda: scan(3, 5000), "01907e2991378f0e3bf324e5ace21f7c42b850b8a4ea6b576a5b2edda1869e06"),
-        (
-            lambda: map(total_fraction, [*range(3, 5001), 10**5, 10**7, 2**58, 2**62]),
-            "8fc2f1740b80c428cb434858f1bbb2f1d5e889f2845b43a16ab60025ec602bab",
-        ),
+        (lambda: map(total_fraction, _TOTAL_FRACTION_DIMS), _TOTAL_FRACTION_DIGEST),
     ],
     ids=["scan_2100_2200", "scan_3_5000", "total_fraction"],
 )
 def test_rows_keep_their_bits(rows, expected):
-    # Digests of the rows, each packed as struct "<qdd" (dim, white, black),
-    # taken from earlier builds of the rows; the row loop must reproduce
-    # every bit, out to N = 2^62.
-    digest = hashlib.sha256()
-    for row in rows():
-        digest.update(struct.pack("<qdd", row.dim, row.white_fraction, row.black_fraction))
-    assert digest.hexdigest() == expected
+    # Digests taken from earlier builds of the rows; the row loop must
+    # reproduce every bit, out to N = 2^62.
+    assert _rows_digest(rows()) == expected
+
+
+def test_black_sums_are_kept_per_dimension_bounded_and_bit_for_bit(monkeypatch):
+    # Black's series sum is kept per dimension only while its prefactor is
+    # non-zero, that is for N = 3..2138: 2136 sums, whatever is computed.
+    area._black_sum.cache_clear()
+    cold = _rows_digest(map(total_fraction, _TOTAL_FRACTION_DIMS))
+    for n in range(3, 10**4 + 1):
+        total_fraction(n)
+    scan(3, 20000)
+    kept = area._black_sum.cache_info()
+    assert kept.currsize <= 2136
+    # Each of the 2136 sums of N = 3..2138 is found kept, so no other is.
+    for n in range(3, 2139):
+        area._black_sum(0.5 * (n - 1))
+    assert area._black_sum.cache_info().misses == kept.misses
+    warm = _rows_digest(map(total_fraction, _TOTAL_FRACTION_DIMS))
+    assert cold == warm == _TOTAL_FRACTION_DIGEST
+    # Only the sum is kept: halving surface_ratio(13) halves the
+    # prefactor, and so Black, exactly.
+    black = total_fraction(13).black_fraction
+    surface = area.surface_ratio
+    monkeypatch.setattr(area, "surface_ratio", lambda n: 0.5 * surface(n) if n == 13 else surface(n))
+    assert total_fraction(13).black_fraction == 0.5 * black
 
 
 def test_every_certified_bound_keeps_its_bits(monkeypatch):

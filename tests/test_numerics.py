@@ -83,6 +83,9 @@ def test_surface_ratio_validation():
         surface_ratio(1)
     with pytest.raises(ValueError):
         surface_ratio(3.0)  # type: ignore[arg-type]
+    # bool is an int subclass whose values lie in range, and it is still refused.
+    with pytest.raises(ValueError, match="integer"):
+        surface_ratio(True)  # type: ignore[arg-type]
     # The largest accepted dimension is the largest float, as an integer.
     largest = int(sys.float_info.max)
     assert math.isfinite(surface_ratio(largest))

@@ -162,12 +162,12 @@ def _tree(root, files):
 
 def test_src_digest_names_the_source_tree(tmp_path):
     files = {"src/pkg/__init__.py": b"", "src/pkg/mod.py": b"x = 1\n", "README.md": b"outside src"}
-    base = pairs.src_digest(_tree(tmp_path / "a", files))
+    base = pairs.tree_digest(_tree(tmp_path / "a", files), ["src"])
     assert len(base) == 64
     # The same files elsewhere, without .git, and with bytecode and files
     # outside src/ added: the same digest.
     same = _tree(tmp_path / "b", files | {"src/pkg/__pycache__/mod.cpython-311.pyc": b"\0", "tests/t.py": b"1"})
-    assert pairs.src_digest(same) == base
+    assert pairs.tree_digest(same, ["src"]) == base
     # One byte changed, a file renamed, or bytes moved between files: each differs.
     others = (
         files | {"src/pkg/mod.py": b"x = 2\n"},
@@ -175,7 +175,34 @@ def test_src_digest_names_the_source_tree(tmp_path):
         {"src/pkg/__init__.py": b"x", "src/pkg/mod.py": b" = 1\n"},
     )
     for i, other in enumerate(others):
-        assert pairs.src_digest(_tree(tmp_path / f"other{i}", other)) != base
+        assert pairs.tree_digest(_tree(tmp_path / f"other{i}", other), ["src"]) != base
+
+
+def test_bench_digest_names_the_benchmark_code(tmp_path, monkeypatch):
+    files = {
+        "BENCHMARK.json": b'{"command": ["python3", "perfbench/run.py"], "run_seconds": 1, "paths": ["perfbench"]}',
+        "perfbench/run.py": b"print(1)\n",
+        "src/pkg/mod.py": b"x = 1\n",
+    }
+    base = pairs.bench_digest(_tree(tmp_path / "a", files))
+    assert pairs.bench_digest(_tree(tmp_path / "b", files)) == base
+    # A change under src/ is the change being measured: the same digest.
+    assert pairs.bench_digest(_tree(tmp_path / "c", files | {"src/pkg/mod.py": b"x = 2\n"})) == base
+    # One byte changed under perfbench/ or in BENCHMARK.json: each differs.
+    others = (
+        files | {"perfbench/run.py": b"print(2)\n"},
+        files | {"BENCHMARK.json": files["BENCHMARK.json"].replace(b"1", b"2")},
+    )
+    for i, other in enumerate(others):
+        assert pairs.bench_digest(_tree(tmp_path / f"other{i}", other)) != base
+    # main refuses such a pair before any run.
+    monkeypatch.setattr(pairs, "run_once", lambda *args: pytest.fail("a run was started"))
+    argv = ["--parent", str(tmp_path / "a"), "--change", str(tmp_path / "other0")]
+    argv += ["--workload", "exact", "--seeds", "1-2", "--label", "x", "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "BENCH_x.json").exists()
 
 
 _STDOUT = """workload: sampled
