@@ -40,6 +40,8 @@ holding:
 - ``src_sha256``, per side a SHA-256 over the sorted paths and bytes
   of the files under its ``src/`` (``__pycache__`` left out), so the
   record names the code it measured, with or without ``.git``;
+- ``src_lines``, per side the number of lines (newlines, as ``wc -l``
+  counts them) in the ``.py`` files of that same ``src/`` walk;
 - ``bench_sha256``, per side the same digest over ``BENCHMARK.json``
   and the files under its ``paths``.  The two must be equal: when the
   sides' benchmark code differs, the script exits with an error before
@@ -94,24 +96,37 @@ def run_once(root: Path, command: list[str], workload: str, seed: int) -> dict:
     return parse_run(proc.stdout)
 
 
-def tree_digest(root: Path, names: list[str]) -> str:
-    """SHA-256 over the sorted relative paths and bytes of the files ``names`` give under ``root``.
+def tree_files(root: Path, names: list[str]) -> list[Path]:
+    """The files ``names`` give under ``root``, sorted.
 
     Each name is a file or a directory, taken with every file under it.
-    Each file adds its path, a NUL, its byte length, a NUL and its
-    bytes, so no two trees share a stream.  Files under ``__pycache__``,
-    which running the benchmark writes, are left out.
+    Files under ``__pycache__``, which running the benchmark writes, are
+    left out.
     """
-    digest = hashlib.sha256()
     files = set()
     for name in names:
         top = root / name
         files.update(p for p in (top, *top.rglob("*")) if p.is_file() and "__pycache__" not in p.parts)
-    for path in sorted(files):
+    return sorted(files)
+
+
+def tree_digest(root: Path, names: list[str]) -> str:
+    """SHA-256 over the relative paths and bytes of ``tree_files(root, names)``.
+
+    Each file adds its path, a NUL, its byte length, a NUL and its
+    bytes, so no two trees share a stream.
+    """
+    digest = hashlib.sha256()
+    for path in tree_files(root, names):
         data = path.read_bytes()
         digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
+
+
+def src_lines(root: Path) -> int:
+    """Lines of the ``.py`` files in ``tree_files(root, ["src"])``, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in tree_files(root, ["src"]) if path.suffix == ".py")
 
 
 def bench_digest(root: Path) -> str:
@@ -235,6 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": args.seeds,
         "repeats": len(args.seeds),
         "src_sha256": src_sha256,
+        "src_lines": {side: src_lines(roots[side]) for side in SIDES},
         "bench_sha256": bench_sha256,
         "end_to_end": summarise(runs, spec["end_to_end"]),
         "operations": operations(runs),

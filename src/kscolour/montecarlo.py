@@ -19,7 +19,7 @@ below 1e-150.
 Each row's norm is formed once, as the square root of its
 ``einsum("ij,ij->i")`` sum of squares.  A count divides only the
 absolute components it reads by that norm: the vector estimator its
-distinguished column, ``_colour_counts`` the whole row, in place.
+distinguished column, ``_count_table`` the whole row, in place.
 The einsum norm may differ from ``np.linalg.norm`` by a few ulp, which
 moved none of the counts the tests pin for given (dim, samples, seed),
 so a change to the stream or to this arithmetic shows as a failure.
@@ -28,12 +28,13 @@ A basis is fully coloured, or breaks a constraint, according to the
 distinguished components of its vectors, which form one row of its
 matrix.  A row of a Haar-random orthogonal matrix is a uniform unit
 vector (the transpose of a Haar matrix is Haar), so the basis
-estimators sample that row directly, and ``_colour_counts`` is the one
-place that colours it.  Each row's White count and Black count are the
-mat-vec products of its masks with a vector of ones: float sums, exact
-for any row length allowed.  A row is fully coloured
-when the two counts add up to the dimension.  That holds only because
-the masks are disjoint, which needs the belt bound below the cap bound:
+estimators sample that row directly.  ``_count_table`` alone colours
+it and reduces rows to counts, and both basis estimators read cells of
+its table.  Twice a row's White and Black counts are the mat-vecs of
+its masks with a vector of twos: float sums, exact for any row length
+allowed.  A row has an Uncoloured vector when the two counts add up to
+less than the dimension.  That holds only because the masks are
+disjoint, which needs the belt bound below the cap bound:
 1/sqrt(N) < 1/sqrt(2) for every N >= 3.  Whole bases, for callers that
 want them, come from the QR decomposition of a Gaussian matrix with
 the signs of R's diagonal moved into Q (Mezzadri, Notices AMS 54,
@@ -133,21 +134,26 @@ def _row_stream(dim: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray,
             yield rows, np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
-def _colour_counts(dim: int, samples: int, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each sampled row's White count and Black count, as floats, one slice at a time.
+def _count_table(dim: int, samples: int, seed: int) -> np.ndarray:
+    """The run's rows counted by Black and by Uncoloured components.
 
-    The row's absolute components are divided by its norm in place and
-    coloured under the default bounds for ``dim``.  The masks are
-    disjoint (white_bound < black_bound), so the counts add up to
-    ``dim`` exactly when every component is coloured.
+    Cell (b, u) of the (3, 2) int64 table counts the rows with b = 0, 1
+    or 2+ Black components and u = 0 or 1+ Uncoloured ones, under the
+    default bounds for ``dim``.  A row's bincount key is 2 * min(b, 2) + u.
     """
     params = ColouringParams(dim=dim)
-    ones = np.ones(dim)
+    twos = np.full(dim, 2.0)
+    table = np.zeros(6, dtype=np.int64)
     for rows, norms in _row_stream(dim, samples, seed):
         np.abs(rows, out=rows)
         rows /= norms[:, None]
         white, black = colour_masks(rows, params)
-        yield white @ ones, black @ ones
+        keys = black @ twos  # 2b
+        uncoloured = white @ twos + keys < 2 * dim
+        np.minimum(keys, 4.0, out=keys)
+        keys += uncoloured
+        table += np.bincount(keys.astype(np.intp), minlength=6)
+    return table.reshape(3, 2)
 
 
 def sample_basis(dim: int, rng: np.random.Generator) -> OrthonormalBasis:
@@ -206,12 +212,11 @@ def estimate_basis_fraction(dim: int, samples: int, seed: int) -> Estimate:
     A basis counts when every vector is strictly White or strictly
     Black under the default bounds for ``dim``.  Each basis is
     represented by its distinguished row, drawn from the same chunked
-    streams as estimate_vector_fractions.
+    streams as estimate_vector_fractions.  The hits are the u = 0 column
+    of ``_count_table``.
     """
     check_run(dim, samples, seed)
-    hits = 0
-    for whites, blacks in _colour_counts(dim, samples, seed):
-        hits += int(np.count_nonzero(whites + blacks == dim))
+    hits = int(_count_table(dim, samples, seed)[:, 0].sum())
     return Estimate(hits / samples, samples, seed)
 
 
@@ -222,19 +227,14 @@ def verify_constraints(dim: int, samples: int, seed: int) -> ViolationReport:
     Black vectors), an all-White basis, and a fully coloured basis
     whose Black count is not exactly one.  Under the default bounds
     all three counts must be zero; any non-zero count falsifies the
-    geometry, not the sampler.
+    geometry, not the sampler.  They are ``_count_table``'s b = 2+ row,
+    its cell (0, 0), and its cells (0, 0) and (2+, 0).
     """
     check_run(dim, samples, seed)
-    pairs = 0
-    all_white = 0
-    bad_full = 0
-    for whites, blacks in _colour_counts(dim, samples, seed):
-        pairs += int(np.count_nonzero(blacks >= 2))
-        all_white += int(np.count_nonzero(whites == dim))
-        bad_full += int(np.count_nonzero((whites + blacks == dim) & (blacks != 1)))
+    table = _count_table(dim, samples, seed)
     return ViolationReport(
         samples=samples,
-        black_pair_count=pairs,
-        all_white_count=all_white,
-        full_without_one_black_count=bad_full,
+        black_pair_count=int(table[2].sum()),
+        all_white_count=int(table[0, 0]),
+        full_without_one_black_count=int(table[0, 0] + table[2, 0]),
     )

@@ -355,9 +355,11 @@ def test_verify_constraints_counts_violations(monkeypatch, dim, white_bound, bla
     # Under bounds of no colouring the constraints fail; the report and
     # the basis fraction must hold what a row-by-row recount of the same
     # draws finds.  At dim 300 nearly every row has 300 Whites, so a
-    # count kept in a type that wraps at 255 would be caught.
+    # count kept in a type that wraps at 255 would be caught.  The count
+    # table itself must hold the same rows, cell by cell.
     monkeypatch.setattr(montecarlo, "ColouringParams", lambda dim: bounds_stand_in(dim, white_bound, black_bound))
     pairs = all_white = bad_full = hits = 0
+    table = [[0, 0] for _ in range(3)]  # [min(blacks, 2)][any uncoloured]
     for rows, norms in montecarlo._row_stream(dim, 2000, 7):
         for row in (np.abs(rows) / norms[:, None]).tolist():
             blacks = sum(x > black_bound for x in row)
@@ -366,6 +368,14 @@ def test_verify_constraints_counts_violations(monkeypatch, dim, white_bound, bla
             all_white += whites == len(row)
             bad_full += blacks + whites == len(row) and blacks != 1
             hits += blacks + whites == len(row)
+            table[min(blacks, 2)][blacks + whites < len(row)] += 1
+    counted = montecarlo._count_table(dim, 2000, 7)
+    assert counted.shape == (3, 2)
+    assert counted.tolist() == table
+    assert sum(map(sum, table)) == 2000
+    # A fully coloured basis without exactly one Black vector is all White
+    # or holds an orthogonal Black pair, both counted already.
+    assert bad_full == table[0][0] + table[2][0]
     report = verify_constraints(dim, 2000, 7)
     assert report == ViolationReport(
         samples=2000, black_pair_count=pairs, all_white_count=all_white, full_without_one_black_count=bad_full

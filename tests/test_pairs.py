@@ -178,7 +178,21 @@ def test_src_digest_names_the_source_tree(tmp_path):
         assert pairs.tree_digest(_tree(tmp_path / f"other{i}", other), ["src"]) != base
 
 
-def test_bench_digest_names_the_benchmark_code(tmp_path, monkeypatch):
+def test_src_lines_counts_the_python_under_src(tmp_path):
+    files = {
+        "src/pkg/__init__.py": b"",
+        "src/pkg/mod.py": b"x = 1\ny = 2\n",
+        "src/pkg/sub/last.py": b"z = 3\nw = 4",  # no final newline: 1 line, as wc -l counts
+        "src/pkg/data.txt": b"not\npython\n",
+        "src/pkg/__pycache__/stale.py": b"a\nb\nc\n",
+        "tests/test_mod.py": b"outside\nsrc\n",
+    }
+    assert pairs.src_lines(_tree(tmp_path / "a", files)) == 3
+    assert pairs.src_lines(_tree(tmp_path / "empty", {"README.md": b"no src\n"})) == 0
+    assert pairs.src_lines(_tree(tmp_path / "b", files | {"src/pkg/mod.py": b"x = 1\n"})) == 2
+
+
+def test_bench_digest_names_the_benchmark_code(tmp_path, monkeypatch, capsys):
     files = {
         "BENCHMARK.json": b'{"command": ["python3", "perfbench/run.py"], "run_seconds": 1, "paths": ["perfbench"]}',
         "perfbench/run.py": b"print(1)\n",
@@ -203,6 +217,10 @@ def test_bench_digest_names_the_benchmark_code(tmp_path, monkeypatch):
         pairs.main(argv)
     assert exit_info.value.code == 2
     assert not (tmp_path / "BENCH_x.json").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "different benchmark code" in captured.err
+    assert base in captured.err and pairs.bench_digest(tmp_path / "other0") in captured.err
 
 
 _STDOUT = """workload: sampled
